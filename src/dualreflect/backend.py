@@ -15,9 +15,9 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 import requests
 
@@ -42,6 +42,8 @@ __all__ = [
     "read_record_trace",
     "fold_record_trace",
 ]
+
+T = TypeVar("T")
 
 API_BASE_ENV = "MIRROR_API_BASE"
 API_KEY_ENV = "MIRROR_API_KEY"
@@ -98,6 +100,8 @@ class ChatResponse:
     completion_tokens: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.text, str):
+            raise TypeError(f"completion text must be a string, got {type(self.text).__name__}")
         if self.prompt_tokens < 0 or self.completion_tokens < 0:
             raise ValueError("token counts must be non-negative")
 
@@ -109,15 +113,6 @@ class TokenTotals:
     calls: int = 0
 
 
-def _request_to_dict(request: ChatRequest) -> dict[str, Any]:
-    return {
-        "system": request.system,
-        "user": request.user,
-        "model": request.model,
-        "temperature": request.temperature,
-    }
-
-
 def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
     return ChatRequest(
         system=data["system"],
@@ -125,14 +120,6 @@ def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
         model=data.get("model", "scripted"),
         temperature=data.get("temperature", 0.0),
     )
-
-
-def _response_to_dict(response: ChatResponse) -> dict[str, Any]:
-    return {
-        "text": response.text,
-        "prompt_tokens": response.prompt_tokens,
-        "completion_tokens": response.completion_tokens,
-    }
 
 
 def _response_from_dict(data: dict[str, Any]) -> ChatResponse:
@@ -145,7 +132,7 @@ def _response_from_dict(data: dict[str, Any]) -> ChatResponse:
 
 def canonical_request(request: ChatRequest) -> str:
     """Stable JSON form used for replay comparison, byte for byte."""
-    return json.dumps(_request_to_dict(request), sort_keys=True, ensure_ascii=False)
+    return json.dumps(asdict(request), sort_keys=True, ensure_ascii=False)
 
 
 class ChatBackend:
@@ -211,32 +198,23 @@ class ScriptedBackend(ChatBackend):
         self.requests.append(request)
         return step.response
 
-    @property
-    def remaining(self) -> int:
-        return len(self._steps) - self._cursor
 
-
-def script_from_jsonl(text: str) -> list[ScriptStep]:
-    """Parse a script file: one step per line with declared token counts."""
-    steps = []
+def _read_jsonl(text: str, what: str, parse: Callable[[Any], T]) -> list[T]:
+    """Parse one JSON document per non-blank line; errors name the line."""
+    items = []
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
-            steps.append(
-                ScriptStep(
-                    response=ChatResponse(
-                        text=data["text"],
-                        prompt_tokens=int(data["prompt_tokens"]),
-                        completion_tokens=int(data["completion_tokens"]),
-                    ),
-                    hint=data.get("hint", ""),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad script line {i + 1}: {exc}") from None
-    return steps
+            items.append(parse(json.loads(line)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad {what} line {i + 1}: {exc}") from None
+    return items
+
+
+def script_from_jsonl(text: str) -> list[ScriptStep]:
+    """Parse a script file: one step per line with declared token counts."""
+    return _read_jsonl(text, "script", lambda data: ScriptStep(_response_from_dict(data), data.get("hint", "")))
 
 
 def load_script(path: Path | str) -> ScriptedBackend:
@@ -337,7 +315,7 @@ class RecordingBackend(ChatBackend):
     def _complete(self, request: ChatRequest) -> ChatResponse:
         response = self._inner.complete(request)
         line = json.dumps(
-            {"request": _request_to_dict(request), "response": _response_to_dict(response)},
+            {"request": asdict(request), "response": asdict(response)},
             sort_keys=True,
             ensure_ascii=False,
         )
@@ -348,17 +326,11 @@ class RecordingBackend(ChatBackend):
 
 def read_record_trace(path: Path | str) -> list[tuple[ChatRequest, ChatResponse]]:
     """Load a recorded trace; raises at startup if the file is absent."""
-    entries = []
-    text = Path(path).read_text(encoding="utf-8")
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-            entries.append((_request_from_dict(data["request"]), _response_from_dict(data["response"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad trace line {i + 1}: {exc}") from None
-    return entries
+    return _read_jsonl(
+        Path(path).read_text(encoding="utf-8"),
+        "trace",
+        lambda data: (_request_from_dict(data["request"]), _response_from_dict(data["response"])),
+    )
 
 
 def fold_record_trace(path: Path | str) -> TokenTotals:

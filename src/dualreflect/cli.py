@@ -3,7 +3,8 @@
 Subcommands: ``run`` (one task bundle), ``eval`` (a suite), ``replay``
 (re-drive a task from a recorded backend trace), and ``validate`` (schema
 check a task or suite). Exit codes: 0 on success, 1 when any run aborts /
-validation fails / a replay diverges, 2 on usage errors.
+validation fails / a replay diverges, 2 on usage errors, which include an
+unreadable or invalid run configuration.
 
 Config precedence: built-in defaults, then the ``--config`` JSON file, then
 explicit flags. Environment variables configure backend auth only.
@@ -14,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from .backend import ChatBackend, HttpBackend, RecordingBackend, ReplayBackend
 from .harness import SuiteError, check_success, evaluate, load_bundle, load_suite, report
-from .model import RunConfig, Thresholds, task_from_json, validate_task
+from .model import RunConfig, task_from_json, validate_task
 from .orchestrator import RunResult, RunStatus, run_task
 
 __all__ = ["main", "build_parser", "resolve_config"]
@@ -42,21 +44,20 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--backend", choices=("scripted", "http"), default="scripted")
         p.add_argument("--model", default="default", help="model name for the http backend")
-        p.add_argument("--record", type=Path, metavar="PATH", help="record backend exchanges to a JSONL trace")
 
     p_run = sub.add_parser("run", help="run a single task bundle")
     p_run.add_argument("--task", type=Path, required=True, help="bundle directory (task.json + sandbox.json [+ script.jsonl])")
     p_run.add_argument("--trace-out", type=Path, help="write the event trace to this JSONL file")
     add_config_flags(p_run)
     add_backend_flags(p_run)
+    p_run.add_argument("--record", type=Path, metavar="PATH", help="record backend exchanges to a JSONL trace")
 
     p_eval = sub.add_parser("eval", help="evaluate a suite directory")
     p_eval.add_argument("--suite", type=Path, required=True)
     p_eval.add_argument("--repeats", type=int, default=1)
     p_eval.add_argument("--jobs", type=int, default=1)
     p_eval.add_argument("--report-dir", type=Path, default=Path("report"))
-    p_eval.add_argument("--backend", choices=("scripted", "http"), default="scripted")
-    p_eval.add_argument("--model", default="default", help="model name for the http backend")
+    add_backend_flags(p_eval)
     add_config_flags(p_eval)
 
     p_replay = sub.add_parser("replay", help="re-drive a task from a recorded backend trace")
@@ -73,40 +74,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """defaults < config file < explicit flags."""
-    values: dict[str, Any] = {
-        "theta_p": 9,
-        "theta_t": 8,
-        "theta_a": 8,
-        "max_rounds": 5,
-        "revision_cap": 3,
-        "subtask_retry_cap": 3,
-        "parse_retry_cap": 2,
-    }
+    """defaults < config file < explicit flags.
+
+    Raises :class:`ValueError` for an invalid config file or flag value and
+    :class:`OSError` for an unreadable file.
+    """
     config_path = getattr(args, "config", None)
+    config = RunConfig()
     if config_path is not None:
-        data = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        thresholds = data.get("thresholds", {})
-        for key in ("theta_p", "theta_t", "theta_a"):
-            if key in thresholds:
-                values[key] = thresholds[key]
-        for key in ("max_rounds", "revision_cap", "subtask_retry_cap", "parse_retry_cap"):
-            if key in data:
-                values[key] = data[key]
-    for key in ("max_rounds", "theta_p", "theta_t", "theta_a"):
-        override = getattr(args, key, None)
-        if override is not None:
-            values[key] = override
-    return RunConfig(
-        thresholds=Thresholds(theta_p=values["theta_p"], theta_t=values["theta_t"], theta_a=values["theta_a"]),
-        max_rounds=values["max_rounds"],
-        revision_cap=values["revision_cap"],
-        subtask_retry_cap=values["subtask_retry_cap"],
-        parse_retry_cap=values["parse_retry_cap"],
-    )
+        try:
+            config = RunConfig.from_dict(json.loads(Path(config_path).read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise ValueError(f"{config_path}: {exc}") from None
+
+    def flags(*names: str) -> dict[str, int]:
+        return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+
+    thresholds = replace(config.thresholds, **flags("theta_p", "theta_t", "theta_a"))
+    return replace(config, thresholds=thresholds, **flags("max_rounds"))
 
 
-def _print_result(task_id: str, result: RunResult, passed: bool | None) -> None:
+def _print_result(task_id: str, result: RunResult, passed: bool) -> None:
     totals = result.token_totals
     print(f"task {task_id}: {result.status.value} in {result.rounds_used} round(s)")
     if result.final_answer is not None:
@@ -114,28 +102,28 @@ def _print_result(task_id: str, result: RunResult, passed: bool | None) -> None:
               f"{result.final_answer.text}")
     if result.error is not None:
         print(f"  error: {result.error}")
-    if passed is not None:
-        print(f"  success predicate: {'pass' if passed else 'fail'}")
+    print(f"  success predicate: {'pass' if passed else 'fail'}")
     print(f"  tokens: prompt {totals.prompt_tokens}, completion {totals.completion_tokens}, calls {totals.calls}")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
+    """``run`` and ``replay``: one bundle, one run."""
     bundle = load_bundle(args.task)
-    if args.backend == "http":
-        backend: ChatBackend = HttpBackend(model=args.model)
+    if args.command == "replay":
+        backend: ChatBackend = ReplayBackend(args.trace)
+    elif args.backend == "http":
+        backend = HttpBackend(model=args.model)
     else:
         backend = bundle.make_backend()
-    if args.record is not None:
+    if getattr(args, "record", None) is not None:
         backend = RecordingBackend(backend, args.record)
-    config = resolve_config(args)
     result = run_task(bundle.task, config, backend, bundle.registry, trace_path=args.trace_out)
     passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
     _print_result(bundle.task.id, result, passed)
     return 1 if result.status is RunStatus.ABORTED else 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
+def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     factory = None
     if args.backend == "http":
         shared = HttpBackend(model=args.model)  # safe for concurrent runs
@@ -145,16 +133,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print((paths["text"]).read_text(encoding="utf-8"), end="")
     print(f"report written to {args.report_dir}")
     return 1 if any(r.status == RunStatus.ABORTED.value for r in result.runs) else 0
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    bundle = load_bundle(args.task)
-    backend = ReplayBackend(args.trace)
-    config = resolve_config(args)
-    result = run_task(bundle.task, config, backend, bundle.registry, trace_path=args.trace_out)
-    passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
-    _print_result(bundle.task.id, result, passed)
-    return 1 if result.status is RunStatus.ABORTED else 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -188,14 +166,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.command == "validate":
+        config = None
+    else:
+        try:
+            config = resolve_config(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
-        if args.command == "run":
-            return _cmd_run(args)
         if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _cmd_validate(args)
+            return _cmd_eval(args, config)
+        if args.command == "validate":
+            return _cmd_validate(args)
+        return _cmd_run(args, config)
     except (SuiteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
 from .backend import ChatBackend, ScriptedBackend, load_script
 from .model import PredicateKind, RunConfig, TaskSpec, task_from_json, validate_task
 from .orchestrator import RunResult, RunStatus, run_task
-from .sandbox import SandboxRegistry, SchemaError, load_registry
+from .sandbox import SandboxRegistry, load_registry
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -32,7 +32,6 @@ __all__ = [
     "check_success",
     "evaluate",
     "report",
-    "suite_result_to_dict",
     "suite_result_from_dict",
 ]
 
@@ -82,8 +81,9 @@ def load_bundle(path: Path | str) -> TaskBundle:
         raise SuiteError(f"{task_path}: " + "; ".join(report_.violations))
     try:
         registry = load_registry(sandbox_path)
-    except SchemaError as exc:
+    except ValueError as exc:
         raise SuiteError(f"{sandbox_path}: {exc}") from None
+    _check_specs_agree(task, registry, sandbox_path)
     script_path = root / SCRIPT_FILE
     return TaskBundle(
         task=task,
@@ -91,6 +91,20 @@ def load_bundle(path: Path | str) -> TaskBundle:
         script_path=script_path if script_path.is_file() else None,
         root=root,
     )
+
+
+def _check_specs_agree(task: TaskSpec, registry: SandboxRegistry, sandbox_path: Path) -> None:
+    """The planner sees ``task.tools`` and the executor checks calls against
+    the sandbox specs; a bundle whose two copies differ is rejected."""
+    declared = {tool.name: tool for tool in task.tools}
+    for spec in registry.tool_specs():
+        if spec.name not in declared:
+            raise SuiteError(f"{sandbox_path}: tool {spec.name!r} is not declared in {TASK_FILE}")
+        if spec != declared[spec.name]:
+            raise SuiteError(f"{sandbox_path}: spec of tool {spec.name!r} differs from its {TASK_FILE} declaration")
+    for name in declared:
+        if registry.get(name) is None:
+            raise SuiteError(f"{sandbox_path}: tool {name!r} declared in {TASK_FILE} has no behaviour")
 
 
 def load_suite(path: Path | str, require_scripts: bool = True) -> list[TaskBundle]:
@@ -247,21 +261,6 @@ def evaluate(
 # --- Serialization and reports --------------------------------------------------
 
 
-def suite_result_to_dict(result: SuiteResult) -> dict[str, Any]:
-    return {
-        "schema_version": result.schema_version,
-        "repeats": result.repeats,
-        "task_ids": list(result.task_ids),
-        "runs": [asdict(r) for r in result.runs],
-        "pass_rate": result.pass_rate,
-        "pass_rate_per_repeat": list(result.pass_rate_per_repeat),
-        "pass_rate_stdev": result.pass_rate_stdev,
-        "tokens_total": result.tokens_total,
-        "tokens_mean_per_run": result.tokens_mean_per_run,
-        "histograms": {agent: list(counts) for agent, counts in result.histograms.items()},
-    }
-
-
 def suite_result_from_dict(data: dict[str, Any]) -> SuiteResult:
     return SuiteResult(
         schema_version=int(data["schema_version"]),
@@ -279,6 +278,12 @@ def suite_result_from_dict(data: dict[str, Any]) -> SuiteResult:
 
 def _fmt(value: float | None, suffix: str = "") -> str:
     return "n/a" if value is None else f"{value:.1f}{suffix}"
+
+
+def _csv_cell(value: Any) -> str:
+    if value is None:
+        return ""
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def _text_table(result: SuiteResult) -> str:
@@ -306,9 +311,7 @@ def report(result: SuiteResult, out_dir: Path | str) -> dict[str, Path]:
         "histograms": out / "histograms.csv",
         "runs": out / "runs.csv",
     }
-    paths["json"].write_text(
-        json.dumps(suite_result_to_dict(result), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    paths["json"].write_text(json.dumps(asdict(result), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     paths["text"].write_text(_text_table(result), encoding="utf-8")
 
     hist_lines = ["agent,score,count"]
@@ -317,12 +320,9 @@ def report(result: SuiteResult, out_dir: Path | str) -> dict[str, Path]:
             hist_lines.append(f"{agent},{score},{count}")
     paths["histograms"].write_text("\n".join(hist_lines) + "\n", encoding="utf-8")
 
-    run_lines = ["task_id,repeat,status,passed,rounds_used,final_round,answer_score,prompt_tokens,completion_tokens,backend_calls"]
+    columns = [f.name for f in fields(RunRecord)]
+    run_lines = [",".join(columns)]
     for r in result.runs:
-        score = "" if r.answer_score is None else r.answer_score
-        run_lines.append(
-            f"{r.task_id},{r.repeat},{r.status},{str(r.passed).lower()},{r.rounds_used},"
-            f"{r.final_round},{score},{r.prompt_tokens},{r.completion_tokens},{r.backend_calls}"
-        )
+        run_lines.append(",".join(_csv_cell(getattr(r, column)) for column in columns))
     paths["runs"].write_text("\n".join(run_lines) + "\n", encoding="utf-8")
     return paths

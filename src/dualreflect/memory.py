@@ -78,8 +78,7 @@ class ShortTermMemory:
         the round trajectory that long-term memory keeps. Returns how many
         entries were dropped.
         """
-        cleared = len(self.entries)
-        self.entries.clear()
+        cleared = self.reset()
         self.node_id = node_id
         return cleared
 

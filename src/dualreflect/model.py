@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum, IntEnum
 from typing import Any
 
@@ -290,6 +290,26 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "RunConfig":
+        """Build a config from its JSON form; absent keys keep their defaults.
+
+        Strict: a non-object, an unknown key or a wrongly typed value raises
+        :class:`ValueError` rather than being ignored.
+        """
+        values = dict(_known_keys(cls, data, "run config"))
+        values["thresholds"] = Thresholds(**_known_keys(Thresholds, values.get("thresholds", {}), "thresholds"))
+        return cls(**values)
+
+
+def _known_keys(cls: type, data: Any, what: str) -> dict[str, Any]:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s): {', '.join(unknown)}")
+    return data
 
 
 @dataclass(frozen=True)

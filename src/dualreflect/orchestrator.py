@@ -11,7 +11,7 @@ ordered event trace which, under a scripted backend, is bit-deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
@@ -35,7 +35,6 @@ from .sandbox import SandboxRegistry
 
 __all__ = [
     "RunStatus",
-    "RunState",
     "RunResult",
     "TraceRecorder",
     "TaskRun",
@@ -68,7 +67,8 @@ class RunStatus(str, Enum):
 
 class TraceRecorder:
     """Ordered event log; each event carries task id, round, and a sequence
-    number. Serialization sorts keys so identical runs are identical bytes."""
+    number. Serialization sorts keys so identical runs are identical bytes.
+    ``round`` is the run's only round counter."""
 
     def __init__(self, task_id: str):
         self.task_id = task_id
@@ -96,19 +96,6 @@ def fold_event_tokens(events: list[dict[str, Any]] | tuple[dict[str, Any], ...])
             completion += event["completion_tokens"]
             calls += 1
     return TokenTotals(prompt, completion, calls)
-
-
-@dataclass
-class RunState:
-    """Mutable bookkeeping for one run; confined to a single thread."""
-
-    task: TaskSpec
-    ltm: LongTermMemory
-    stm: ShortTermMemory
-    round: int = 0
-    status: RunStatus = RunStatus.RUNNING
-    current_plan: Plan | None = None
-    trajectory: list[TrajectoryStep] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -153,39 +140,38 @@ class TaskRun:
         self.config = config
         self.trace = TraceRecorder(task.id)
         self.session = registry.session()
-        self.state = RunState(task=task, ltm=LongTermMemory(task.id), stm=ShortTermMemory())
+        self.ltm = LongTermMemory(task.id)
+        self.stm = ShortTermMemory()
+        self.status = RunStatus.RUNNING
+        self.trajectory: list[TrajectoryStep] = []
         self.runner = AgentRunner(task, backend, config, templates, emit=self.trace.emit)
         self._best: tuple[FinalAnswer, int] | None = None
         self._error: str | None = None
 
     def run(self) -> RunResult:
-        state = self.state
         try:
-            while state.status is RunStatus.RUNNING:
-                if state.round >= self.config.max_rounds:
-                    state.status = RunStatus.EXHAUSTED
+            while self.status is RunStatus.RUNNING:
+                if self.trace.round >= self.config.max_rounds:
+                    self.status = RunStatus.EXHAUSTED
                     break
                 self.run_round()
         except (BackendError, ParseExhausted) as exc:
-            state.status = RunStatus.ABORTED
+            self.status = RunStatus.ABORTED
             self._error = str(exc)
         return self._finish()
 
     def run_round(self) -> str:
         """One plan -> execute -> answer cycle; returns the round outcome
         (``accepted``, ``rejected``, or ``execution_failure``)."""
-        state = self.state
         config = self.config
-        if state.status is not RunStatus.RUNNING:
-            raise RuntimeError(f"run_round requires a running state, not {state.status.value}")
-        state.round += 1
-        self.trace.round = state.round
+        if self.status is not RunStatus.RUNNING:
+            raise RuntimeError(f"run_round requires a running state, not {self.status.value}")
+        self.trace.round += 1
         self.trace.emit("round_start")
 
-        plan_out = self.runner.plan(state.ltm)
+        plan_out = self.runner.plan(self.ltm)
         plan = plan_out.accepted
-        state.current_plan = plan
-        state.trajectory = []
+        self.trajectory = []
         related: list[tuple[str, str]] = []
         nodes = list(plan.nodes)
         failure: str | None = None
@@ -193,13 +179,13 @@ class TaskRun:
         if not nodes:
             failure = "planner produced an empty plan; nothing to execute"
         for i, node in enumerate(nodes):
-            cleared = state.stm.bind(node.id)
+            cleared = self.stm.bind(node.id)
             if cleared:
                 self.trace.emit("stm_reset", node=node.id, reason="rebind", cleared=cleared)
             succeeded = False
             result = None
             for attempt in range(1, config.subtask_retry_cap + 1):
-                tool_out = self.runner.select_tool(node, related, state.stm)
+                tool_out = self.runner.select_tool(node, related, self.stm)
                 call = tool_out.accepted
                 result = self.session.execute(call)
                 self.trace.emit(
@@ -214,23 +200,23 @@ class TaskRun:
                     forced=tool_out.forced,
                     divergence=call.function != node.function,
                 )
-                state.trajectory.append(TrajectoryStep(node.id, call, result, attempt))
+                self.trajectory.append(TrajectoryStep(node.id, call, result, attempt))
                 if result.status is ExecutionStatus.OK:
                     nodes[i] = node_transition(node, NodeStatus.SUCCEEDED)
                     related.append((node.id, result.payload))
-                    cleared = state.stm.reset()
+                    cleared = self.stm.reset()
                     self.trace.emit("stm_reset", node=node.id, reason="subtask_success", cleared=cleared)
                     succeeded = True
                     break
                 entry = STMEntry(
-                    step=len(state.stm.entries) + 1,
+                    step=len(self.stm.entries) + 1,
                     subtask=node.subtask,
                     action=call.function,
                     action_input=call.parameters,
                     observation=describe_result(result),
                     reflection=call.reflection.evaluation,
                 )
-                state.stm.record(entry)
+                self.stm.record(entry)
                 self.trace.emit(
                     "stm_record", node=node.id, step=entry.step, action=entry.action, observation=entry.observation
                 )
@@ -243,7 +229,6 @@ class TaskRun:
                 break
 
         plan = Plan(nodes=tuple(nodes), reflection=plan.reflection)
-        state.current_plan = plan
         succeeded_count = sum(1 for n in plan.nodes if n.status is NodeStatus.SUCCEEDED)
         base_fields = {
             "plan_score": plan.reflection.score,
@@ -258,12 +243,12 @@ class TaskRun:
             self.trace.emit("round_end", outcome="execution_failure", **base_fields)
             return "execution_failure"
 
-        answer_out = self.runner.answer(plan, state.trajectory)
+        answer_out = self.runner.answer(plan, self.trajectory)
         answer = answer_out.accepted
         if self._best is None or answer.reflection.score > self._best[0].reflection.score:
-            self._best = (answer, state.round)
+            self._best = (answer, self.trace.round)
         if answer_out.passed:
-            state.status = RunStatus.ACCEPTED
+            self.status = RunStatus.ACCEPTED
             self.trace.emit(
                 "round_end", outcome="accepted", answer_score=answer.reflection.score, **base_fields
             )
@@ -277,27 +262,25 @@ class TaskRun:
         return "rejected"
 
     def _store_round(self, plan: Plan, inter_reflection: str) -> None:
-        state = self.state
         record = LTMRecord(
-            round_index=state.round,
+            round_index=self.trace.round,
             plan=plan,
-            trajectory=tuple(state.trajectory),
+            trajectory=tuple(self.trajectory),
             inter_reflection=inter_reflection,
         )
-        state.ltm.append(record)
-        self.trace.emit("ltm_append", round_index=record.round_index, records=len(state.ltm.records))
+        self.ltm.append(record)
+        self.trace.emit("ltm_append", round_index=record.round_index, records=len(self.ltm.records))
 
     def _finish(self) -> RunResult:
-        state = self.state
-        cleared = state.stm.reset()
-        self.trace.emit("stm_reset", node=state.stm.node_id, reason="run_end", cleared=cleared)
-        self.trace.emit("ltm_reset", reason=state.status.value, cleared=state.ltm.reset())
+        cleared = self.stm.reset()
+        self.trace.emit("stm_reset", node=self.stm.node_id, reason="run_end", cleared=cleared)
+        self.trace.emit("ltm_reset", reason=self.status.value, cleared=self.ltm.reset())
 
         answer, final_round = (None, 0) if self._best is None else self._best
         totals = fold_event_tokens(self.trace.events)
         end_fields: dict[str, Any] = {
-            "status": state.status.value,
-            "rounds_used": state.round,
+            "status": self.status.value,
+            "rounds_used": self.trace.round,
             "final_round": final_round,
             "prompt_tokens": totals.prompt_tokens,
             "completion_tokens": totals.completion_tokens,
@@ -309,10 +292,10 @@ class TaskRun:
             end_fields["error"] = self._error
         self.trace.emit("run_end", **end_fields)
         return RunResult(
-            status=state.status,
+            status=self.status,
             final_answer=answer,
             final_round=final_round,
-            rounds_used=state.round,
+            rounds_used=self.trace.round,
             token_totals=totals,
             events=tuple(self.trace.events),
             error=self._error,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -47,7 +48,6 @@ __all__ = [
     "validate_output",
     "plan_to_output_dict",
     "tool_call_to_output_dict",
-    "answer_to_output_dict",
     "render_parameters",
     "render_tool_list",
     "render_related_outputs",
@@ -239,6 +239,8 @@ def _reflection_from(raw: Any, problems: list[str]) -> IntraReflection | None:
     score_raw = raw.get("score")
     if isinstance(score_raw, bool) or not isinstance(score_raw, (int, float)):
         local.append("intra_reflection.score: expected a number")
+    elif isinstance(score_raw, float) and not math.isfinite(score_raw):
+        local.append("intra_reflection.score: expected a finite number")
     if local:
         problems.extend(local)
         return None
@@ -337,10 +339,6 @@ def tool_call_to_output_dict(call: ToolCall) -> dict[str, Any]:
         "parameters": call.parameters,
         "intra_reflection": _reflection_dict(call.reflection),
     }
-
-
-def answer_to_output_dict(answer: FinalAnswer) -> dict[str, Any]:
-    return {"answer": answer.text, "intra_reflection": _reflection_dict(answer.reflection)}
 
 
 # --- Slot-text builders -------------------------------------------------------

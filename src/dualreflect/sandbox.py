@@ -29,7 +29,6 @@ from .model import (
 )
 
 __all__ = [
-    "SchemaError",
     "BehaviorRule",
     "SandboxTool",
     "SandboxRegistry",
@@ -40,10 +39,6 @@ __all__ = [
     "registry_from_dict",
     "registry_to_dict",
 ]
-
-
-class SchemaError(Exception):
-    """A suite file entry is malformed; the message carries its path."""
 
 
 @dataclass(frozen=True)
@@ -158,48 +153,48 @@ def _check_kind(param: ParamSpec, value: Any) -> list[str]:
 
 def _result_from_dict(data: Any, path: str) -> ExecutionResult:
     if not isinstance(data, dict) or "status" not in data or "payload" not in data:
-        raise SchemaError(f"{path}: expected an object with status and payload")
+        raise ValueError(f"{path}: expected an object with status and payload")
     try:
         status = ExecutionStatus(data["status"])
     except ValueError:
-        raise SchemaError(f"{path}.status: unknown status {data['status']!r}") from None
+        raise ValueError(f"{path}.status: unknown status {data['status']!r}") from None
     try:
         return ExecutionResult(status, str(data["payload"]))
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def registry_from_dict(data: Any) -> SandboxRegistry:
     if not isinstance(data, dict) or not isinstance(data.get("tools"), list):
-        raise SchemaError("suite file must be an object with a 'tools' array")
+        raise ValueError("suite file must be an object with a 'tools' array")
     tools = []
     for i, raw in enumerate(data["tools"]):
         path = f"tools[{i}]"
         if not isinstance(raw, dict) or "spec" not in raw or "default" not in raw:
-            raise SchemaError(f"{path}: expected an object with spec and default")
+            raise ValueError(f"{path}: expected an object with spec and default")
         try:
             spec = tool_from_dict(raw["spec"])
         except ValueError as exc:
-            raise SchemaError(f"{path}.spec: {exc}") from None
+            raise ValueError(f"{path}.spec: {exc}") from None
         declared = {p.name for p in spec.parameters}
         rules = []
         for j, raw_rule in enumerate(raw.get("rules", [])):
             rpath = f"{path}.rules[{j}]"
             if not isinstance(raw_rule, dict) or "result" not in raw_rule:
-                raise SchemaError(f"{rpath}: expected an object with when/result")
+                raise ValueError(f"{rpath}: expected an object with when/result")
             when = raw_rule.get("when", {})
             if not isinstance(when, dict):
-                raise SchemaError(f"{rpath}.when: expected an object")
+                raise ValueError(f"{rpath}.when: expected an object")
             params = when.get("params")
             if params is not None:
                 if not isinstance(params, dict):
-                    raise SchemaError(f"{rpath}.when.params: expected an object")
+                    raise ValueError(f"{rpath}.when.params: expected an object")
                 for name in params:
                     if name not in declared:
-                        raise SchemaError(f"{rpath}.when.params.{name}: references undeclared parameter")
+                        raise ValueError(f"{rpath}.when.params.{name}: references undeclared parameter")
             call_index = when.get("call_index")
             if call_index is not None and (isinstance(call_index, bool) or not isinstance(call_index, int) or call_index < 1):
-                raise SchemaError(f"{rpath}.when.call_index: expected an integer >= 1")
+                raise ValueError(f"{rpath}.when.call_index: expected an integer >= 1")
             rules.append(
                 BehaviorRule(
                     result=_result_from_dict(raw_rule["result"], f"{rpath}.result"),
@@ -210,10 +205,7 @@ def registry_from_dict(data: Any) -> SandboxRegistry:
         tools.append(
             SandboxTool(spec=spec, default=_result_from_dict(raw["default"], f"{path}.default"), rules=tuple(rules))
         )
-    try:
-        return SandboxRegistry(tools)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+    return SandboxRegistry(tools)
 
 
 def registry_to_dict(registry: SandboxRegistry) -> dict[str, Any]:
@@ -239,10 +231,10 @@ def registry_to_dict(registry: SandboxRegistry) -> dict[str, Any]:
 
 
 def load_registry(path: Path | str) -> SandboxRegistry:
-    """Parse a suite file into a registry; schema violations carry the path
-    of the offending entry."""
+    """Parse a suite file into a registry; schema violations raise
+    :class:`ValueError` carrying the path of the offending entry."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"suite file is not valid JSON: {exc}") from None
+        raise ValueError(f"suite file is not valid JSON: {exc}") from None
     return registry_from_dict(data)

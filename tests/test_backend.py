@@ -155,6 +155,14 @@ class TestHttp:
         assert err.value.status == 404
         assert len(stub_server.requests) == 1
 
+    @pytest.mark.parametrize("content", [None, 3, ["pong"]])
+    def test_non_string_content_is_malformed_payload(self, stub_server, content):
+        stub_server.plan = [{"status": 200, "text": content}]
+        with pytest.raises(ApiError, match="malformed completion payload") as err:
+            stub_backend(stub_server).complete(REQ)
+        assert err.value.status == 200
+        assert len(stub_server.requests) == 1
+
     def test_requires_base_url(self, monkeypatch):
         monkeypatch.delenv("MIRROR_API_BASE", raising=False)
         with pytest.raises(ValueError):

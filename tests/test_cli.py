@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from dualreflect.cli import main, resolve_config
 from scenarios import (
     case_study_registry,
@@ -199,3 +201,31 @@ class TestConfigPrecedence:
         cfg = resolve_config(Args())
         assert (cfg.thresholds.theta_p, cfg.thresholds.theta_t, cfg.thresholds.theta_a) == (9, 8, 8)
         assert (cfg.max_rounds, cfg.revision_cap, cfg.subtask_retry_cap, cfg.parse_retry_cap) == (5, 3, 3, 2)
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]", "run config must be a JSON object"),
+            ('{"thresholds": 5}', "thresholds must be a JSON object"),
+            ('{"max_round": 2}', "unknown key(s): max_round"),
+            ('{"thresholds": {"theta_q": 9}}', "unknown key(s): theta_q"),
+            ('{"max_rounds": "2"}', "max_rounds must be an integer"),
+            ('{"thresholds": {"theta_p": 11}}', "theta_p must be an integer in [1, 10]"),
+            ("{not json", "Expecting property name"),
+            (None, "No such file"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--task", str(DEMO_SUITE / "flaky-lookup")], ["eval", "--suite", str(DEMO_SUITE)]],
+        ids=["run", "eval"],
+    )
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, command, text, message):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text, encoding="utf-8")
+        assert main([*command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -1,6 +1,7 @@
 """Suite evaluation: pass rates, histograms, reports, sweeps, predicates."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from dualreflect.harness import (
     SuiteError,
     check_success,
     evaluate,
+    load_bundle,
     load_suite,
     report,
     suite_result_from_dict,
@@ -19,6 +21,7 @@ from dualreflect.model import (
     Thresholds,
 )
 from dualreflect.orchestrator import run_task
+from dualreflect.sandbox import SandboxRegistry
 from scenarios import (
     GARBAGE,
     accept_at_round_bundle,
@@ -28,6 +31,7 @@ from scenarios import (
     make_registry,
     make_task,
     planner_json,
+    simple_tool,
     step,
     tool_json,
     write_bundle,
@@ -103,6 +107,21 @@ class TestEvaluate:
         write_bundle(tmp_path / "b", task, make_registry(["alpha"]), passing_steps())
         with pytest.raises(SuiteError):
             load_suite(tmp_path)
+
+    @pytest.mark.parametrize(
+        "declared, sandboxed, culprit, reason",
+        [
+            (["alpha"], [replace(simple_tool("alpha").spec, parameters=())], "alpha", "differs"),
+            (["alpha"], [simple_tool("alpha").spec, simple_tool("beta").spec], "beta", "not declared"),
+            (["alpha", "beta"], [simple_tool("alpha").spec], "beta", "no behaviour"),
+        ],
+    )
+    def test_sandbox_specs_must_equal_task_tools(self, tmp_path, declared, sandboxed, culprit, reason):
+        registry = SandboxRegistry([replace(simple_tool(spec.name), spec=spec) for spec in sandboxed])
+        write_bundle(tmp_path / "t", make_task(declared, task_id="t"), registry, passing_steps())
+        with pytest.raises(SuiteError, match=reason) as err:
+            load_bundle(tmp_path / "t")
+        assert repr(culprit) in str(err.value) and "sandbox.json" in str(err.value)
 
 
 class TestHistograms:

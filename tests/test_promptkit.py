@@ -4,8 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualreflect.model import FinalAnswer, NodeStatus, Plan, ToolCall
+from dualreflect.model import FinalAnswer, NodeStatus, Plan, RunConfig, ToolCall
+from dualreflect.orchestrator import RunStatus, run_task
 from dualreflect.promptkit import (
     MalformedJson,
     MissingSlot,
@@ -23,6 +26,7 @@ from dualreflect.promptkit import (
     render_tool_list,
     validate_output,
 )
+from scenarios import answer_json, make_backend, make_registry, make_task, planner_json, step, tool_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -199,3 +203,64 @@ class TestSlotBuilders:
         assert render_related_outputs([]) == "No completed subtasks yet."
         text = render_related_outputs([("n1", "first"), ("n2", "second")])
         assert text.index("n1: first") < text.index("n2: second")
+
+
+# Arbitrary JSON, with the non-finite floats Python's json module reads and
+# writes. Replies are mostly shaped like the agent output schemas so that
+# most of them get as far as score parsing.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=10,
+)
+NAMES = st.text(min_size=1, max_size=8) | JSON_VALUES
+SCORES = st.sampled_from([float("nan"), float("inf"), float("-inf")]) | st.floats() | st.integers() | JSON_VALUES
+REFLECTIONS = st.fixed_dictionaries({"evaluation": NAMES, "score": SCORES}) | JSON_VALUES
+NODES = st.fixed_dictionaries({"id": NAMES, "subtask": NAMES, "function": NAMES, "status": st.just(0) | JSON_VALUES})
+REPLIES = (
+    st.fixed_dictionaries({"nodes": st.lists(NODES, max_size=3) | JSON_VALUES, "intra_reflection": REFLECTIONS})
+    | st.fixed_dictionaries(
+        {
+            "function": NAMES,
+            "parameters": st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=3) | JSON_VALUES,
+            "intra_reflection": REFLECTIONS,
+        }
+    )
+    | st.fixed_dictionaries({"answer": NAMES, "intra_reflection": REFLECTIONS})
+    | st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4)
+)
+COMPLETIONS = st.text() | st.tuples(st.text(max_size=10), REPLIES, st.text(max_size=10)).map(
+    lambda parts: parts[0] + json.dumps(parts[1]) + parts[2]
+)
+
+
+class TestModelOutputBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(COMPLETIONS)
+    def test_any_completion_is_typed_or_prompt_error(self, text):
+        for kind in OutputKind:
+            try:
+                value = validate_output(extract_json(text), kind)
+            except PromptError:
+                continue
+            assert isinstance(value, (Plan, ToolCall, FinalAnswer))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_score_is_schema_error(self, literal):
+        raw = '{"answer": "done", "intra_reflection": {"evaluation": "e", "score": %s}}' % literal
+        with pytest.raises(SchemaError, match="intra_reflection.score: expected a finite number"):
+            validate_output(extract_json(raw), OutputKind.ANSWER)
+
+    def test_nan_scored_reply_costs_one_parse_retry(self):
+        nodes = [("n1", "use alpha once", "alpha")]
+        steps = [
+            step(planner_json(nodes, float("nan"))),
+            step(planner_json(nodes, 9)),
+            step(tool_json("alpha", {"q": "x"}, 9)),
+            step(answer_json("the final summary", 9)),
+        ]
+        result = run_task(make_task(["alpha"]), RunConfig(), make_backend(steps), make_registry(["alpha"]))
+        assert result.status is RunStatus.ACCEPTED
+        calls = [(e["agent"], e["attempt"], e["parse_try"]) for e in result.events if e["kind"] == "agent_call"]
+        assert calls == [("planner", 1, 0), ("planner", 1, 1), ("tool", 1, 0), ("answer", 1, 0)]
+        assert result.events[-1]["kind"] == "run_end"

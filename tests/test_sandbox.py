@@ -19,7 +19,6 @@ from dualreflect.sandbox import (
     ExecutionResult,
     SandboxRegistry,
     SandboxTool,
-    SchemaError,
     load_registry,
     registry_from_dict,
 )
@@ -210,20 +209,20 @@ class TestLoadRegistry:
     def test_rule_referencing_undeclared_param_is_schema_error(self):
         doc = json.loads(json.dumps(SUITE_DOC))
         doc["tools"][0]["rules"].append({"when": {"params": {"zoom": 1}}, "result": {"status": "ok", "payload": "x"}})
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ValueError) as err:
             registry_from_dict(doc)
         assert "tools[0].rules[2].when.params.zoom" in str(err.value)
 
     def test_ok_result_requires_payload(self):
         doc = json.loads(json.dumps(SUITE_DOC))
         doc["tools"][1]["default"] = {"status": "ok", "payload": ""}
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ValueError) as err:
             registry_from_dict(doc)
         assert "tools[1].default" in str(err.value)
 
     def test_unknown_status_is_schema_error_with_path(self):
         doc = json.loads(json.dumps(SUITE_DOC))
         doc["tools"][0]["rules"][0]["result"]["status"] = "exploded"
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(ValueError) as err:
             registry_from_dict(doc)
         assert "tools[0].rules[0].result.status" in str(err.value)
