@@ -11,15 +11,19 @@ This is the only module in the package that performs network I/O.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import os
+import select
+import socket
+import ssl
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
-
-import requests
+from urllib.parse import SplitResult, unquote, urlsplit
 
 __all__ = [
     "BackendError",
@@ -38,7 +42,6 @@ __all__ = [
     "ReplayBackend",
     "canonical_request",
     "script_from_jsonl",
-    "load_script",
     "read_record_trace",
     "fold_record_trace",
 ]
@@ -207,7 +210,7 @@ def _read_jsonl(text: str, what: str, parse: Callable[[Any], T]) -> list[T]:
             continue
         try:
             items.append(parse(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad {what} line {i + 1}: {exc}") from None
     return items
 
@@ -217,21 +220,24 @@ def script_from_jsonl(text: str) -> list[ScriptStep]:
     return _read_jsonl(text, "script", lambda data: ScriptStep(_response_from_dict(data), data.get("hint", "")))
 
 
-def load_script(path: Path | str) -> ScriptedBackend:
-    return ScriptedBackend(script_from_jsonl(Path(path).read_text(encoding="utf-8")))
-
-
 class HttpBackend(ChatBackend):
-    """OpenAI-compatible chat-completions client.
+    """OpenAI-compatible chat-completions client on :mod:`http.client`.
 
     POSTs ``{base_url}/chat/completions`` and reads the first choice plus the
     usage block. Transport failures, 429, and 5xx are retried with capped
-    exponential backoff for ``max_attempts`` total tries; other statuses
-    raise :class:`ApiError` immediately. Base URL and key default to the
-    MIRROR_API_BASE / MIRROR_API_KEY environment variables.
+    exponential backoff for ``max_attempts`` total tries; a 429 or 503 whose
+    ``Retry-After`` is a whole number of seconds waits that long instead,
+    still capped by ``backoff_cap``. Other statuses raise :class:`ApiError`
+    immediately. Base URL and key default to the MIRROR_API_BASE /
+    MIRROR_API_KEY environment variables, and ``http(s)_proxy`` / ``no_proxy``
+    choose a proxy; the environment is read here, never per call.
+
+    Safe to share between threads: idle keep-alive connections wait in one
+    LIFO pool, which grows to the peak number of concurrent calls.
     """
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+    RETRY_AFTER_STATUSES = frozenset({429, 503})
 
     def __init__(
         self,
@@ -243,62 +249,155 @@ class HttpBackend(ChatBackend):
         backoff_base: float = 0.5,
         backoff_cap: float = 8.0,
         sleep: Callable[[float], None] = time.sleep,
-        session: requests.Session | None = None,
     ):
         super().__init__()
         base = base_url or os.environ.get(API_BASE_ENV)
         if not base:
             raise ValueError(f"no base URL: pass base_url or set {API_BASE_ENV}")
-        self._url = base.rstrip("/") + "/chat/completions"
-        self._api_key = api_key or os.environ.get(API_KEY_ENV)
+        url = urlsplit(base.rstrip("/") + "/chat/completions")
+        if url.scheme not in ("http", "https") or not url.hostname or url.query or url.fragment or url.username:
+            raise ValueError(f"base URL must look like http(s)://host[:port][/path], got {base!r}")
+        api_key = api_key or os.environ.get(API_KEY_ENV)
         self.model = model
         self._timeout = timeout
         self._max_attempts = max_attempts
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
         self._sleep = sleep
-        self._session = session or requests.Session()
+        self._headers = {"Content-Type": "application/json"}
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._host, self._port = url.hostname, url.port
+        self._target = url.path
+        self._tunnel: tuple[str, int, dict[str, str]] | None = None
+        proxy = _proxy_for(url)
+        if proxy is not None:
+            proxy_url, proxy_headers = proxy
+            self._host, self._port = proxy_url.hostname, proxy_url.port or 80
+            if self._tls is not None:
+                self._tunnel = (url.hostname, url.port or 443, proxy_headers)
+            else:
+                self._target = url.geturl()
+                self._headers.update(proxy_headers)
+        self._idle: list[http.client.HTTPConnection] = []
 
     def _complete(self, request: ChatRequest) -> ChatResponse:
-        body = {
-            "model": request.model,
-            "messages": [
-                {"role": "system", "content": request.system},
-                {"role": "user", "content": request.user},
-            ],
-            "temperature": request.temperature,
-        }
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
+        body = json.dumps(
+            {
+                "model": request.model,
+                "messages": [
+                    {"role": "system", "content": request.system},
+                    {"role": "user", "content": request.user},
+                ],
+                "temperature": request.temperature,
+            }
+        ).encode("utf-8")
         last_failure = "no attempt made"
         for attempt in range(1, self._max_attempts + 1):
+            delay = min(self._backoff_cap, self._backoff_base * 2 ** (attempt - 1))
             try:
-                resp = self._session.post(self._url, json=body, headers=headers, timeout=self._timeout)
-            except requests.RequestException as exc:
+                status, retry_after, data = self._post(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport failure: {exc}"
             else:
-                if resp.status_code == 200:
-                    return self._parse(resp)
-                if resp.status_code not in self.RETRYABLE_STATUSES:
-                    raise ApiError(resp.status_code, resp.text[:500])
-                last_failure = f"HTTP {resp.status_code}"
+                if status == 200:
+                    return _parse_completion(data)
+                if status not in self.RETRYABLE_STATUSES:
+                    raise ApiError(status, data.decode("utf-8", errors="replace")[:500])
+                last_failure = f"HTTP {status}"
+                seconds = (retry_after or "").strip()
+                if status in self.RETRY_AFTER_STATUSES and seconds.isascii() and seconds.isdigit():
+                    delay = min(self._backoff_cap, int(seconds))
             if attempt < self._max_attempts:
-                self._sleep(min(self._backoff_cap, self._backoff_base * 2 ** (attempt - 1)))
+                self._sleep(delay)
         raise TransportError(f"giving up after {self._max_attempts} attempts: {last_failure}")
 
-    def _parse(self, resp: requests.Response) -> ChatResponse:
+    def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """One attempt: status, Retry-After header and the whole body. The
+        connection goes back to the pool only after a complete exchange."""
+        conn = self._checkout()
         try:
-            data = resp.json()
-            text = data["choices"][0]["message"]["content"]
-            usage = data["usage"]
-            return ChatResponse(
-                text=text,
-                prompt_tokens=int(usage["prompt_tokens"]),
-                completion_tokens=int(usage["completion_tokens"]),
-            )
-        except (ValueError, KeyError, IndexError, TypeError):
-            raise ApiError(200, "malformed completion payload") from None
+            conn.request("POST", self._target, body, self._headers)
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if conn.sock is not None:  # None: the server ended the connection with this reply
+            with self._lock:
+                self._idle.append(conn)
+        return resp.status, resp.getheader("Retry-After"), data
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """The most recently used idle connection, or a new one. An idle socket
+        that is readable was closed by the server (or holds bytes nobody asked
+        for), so it is dropped here instead of costing an attempt."""
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                break
+            if not _readable(conn.sock):
+                return conn
+            conn.close()
+        if self._tls is None:
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout)
+        else:
+            conn = http.client.HTTPSConnection(self._host, self._port, timeout=self._timeout, context=self._tls)
+        if self._tunnel is not None:
+            host, port, headers = self._tunnel
+            conn.set_tunnel(host, port, headers)
+        return conn
+
+    def close(self) -> None:
+        """Close every idle connection; a later call opens new ones."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+
+def _proxy_for(url: SplitResult) -> tuple[SplitResult, dict[str, str]] | None:
+    """The proxy that ``http(s)_proxy`` / ``all_proxy`` name for ``url``,
+    unless ``no_proxy`` exempts its host, plus the headers that authenticate
+    to it. Only plain-http proxies are supported."""
+    from urllib.request import getproxies, proxy_bypass
+
+    proxies = getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or proxy_bypass(url.netloc):
+        return None
+    parsed = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+    if parsed.scheme != "http" or not parsed.hostname:
+        raise ValueError(f"unsupported proxy {proxy!r}: expected http://host[:port]")
+    headers = {}
+    if parsed.username is not None:
+        credentials = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}".encode("utf-8")
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
+    return parsed, headers
+
+
+def _readable(sock: socket.socket) -> bool:
+    """True when a read would not block: end of stream, reset, or stray bytes."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+def _parse_completion(data: bytes) -> ChatResponse:
+    try:
+        payload = json.loads(data)
+        usage = payload["usage"]
+        return ChatResponse(
+            text=payload["choices"][0]["message"]["content"],
+            prompt_tokens=int(usage["prompt_tokens"]),
+            completion_tokens=int(usage["completion_tokens"]),
+        )
+    except (ValueError, KeyError, IndexError, TypeError, RecursionError):
+        raise ApiError(200, "malformed completion payload") from None
 
 
 class RecordingBackend(ChatBackend):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack, closing
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -84,7 +85,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if config_path is not None:
         try:
             config = RunConfig.from_dict(json.loads(Path(config_path).read_text(encoding="utf-8")))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{config_path}: {exc}") from None
 
     def flags(*names: str) -> dict[str, int]:
@@ -109,15 +110,16 @@ def _print_result(task_id: str, result: RunResult, passed: bool) -> None:
 def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
     """``run`` and ``replay``: one bundle, one run."""
     bundle = load_bundle(args.task)
-    if args.command == "replay":
-        backend: ChatBackend = ReplayBackend(args.trace)
-    elif args.backend == "http":
-        backend = HttpBackend(model=args.model)
-    else:
-        backend = bundle.make_backend()
-    if getattr(args, "record", None) is not None:
-        backend = RecordingBackend(backend, args.record)
-    result = run_task(bundle.task, config, backend, bundle.registry, trace_path=args.trace_out)
+    with ExitStack() as stack:
+        if args.command == "replay":
+            backend: ChatBackend = ReplayBackend(args.trace)
+        elif args.backend == "http":
+            backend = stack.enter_context(closing(HttpBackend(model=args.model)))
+        else:
+            backend = bundle.make_backend()
+        if getattr(args, "record", None) is not None:
+            backend = RecordingBackend(backend, args.record)
+        result = run_task(bundle.task, config, backend, bundle.registry, trace_path=args.trace_out)
     passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
     _print_result(bundle.task.id, result, passed)
     return 1 if result.status is RunStatus.ABORTED else 0
@@ -125,10 +127,11 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
 
 def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     factory = None
-    if args.backend == "http":
-        shared = HttpBackend(model=args.model)  # safe for concurrent runs
-        factory = lambda bundle: shared
-    result = evaluate(args.suite, config, repeats=args.repeats, jobs=args.jobs, backend_factory=factory)
+    with ExitStack() as stack:
+        if args.backend == "http":
+            shared = stack.enter_context(closing(HttpBackend(model=args.model)))  # safe for concurrent runs
+            factory = lambda bundle: shared
+        result = evaluate(args.suite, config, repeats=args.repeats, jobs=args.jobs, backend_factory=factory)
     paths = report(result, args.report_dir)
     print((paths["text"]).read_text(encoding="utf-8"), end="")
     print(f"report written to {args.report_dir}")
@@ -154,7 +157,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             problems = [str(exc)]
     if problems:
         for problem in problems:
-            print(problem, file=sys.stderr)
+            print(f"error: {problem}", file=sys.stderr)
         return 1
     print("valid")
     return 0

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
-from .backend import ChatBackend, ScriptedBackend, load_script
+from .backend import ChatBackend, ScriptedBackend, ScriptStep, script_from_jsonl
 from .model import PredicateKind, RunConfig, TaskSpec, task_from_json, validate_task
 from .orchestrator import RunResult, RunStatus, run_task
 from .sandbox import SandboxRegistry, load_registry
@@ -50,18 +50,20 @@ class SuiteError(Exception):
 
 @dataclass(frozen=True)
 class TaskBundle:
-    """One runnable task: its spec, sandbox registry, and optional script."""
+    """One runnable task: its spec, sandbox registry, and optional script,
+    parsed once at load and shared read-only by every run."""
 
     task: TaskSpec
     registry: SandboxRegistry
     script_path: Path | None
+    script: tuple[ScriptStep, ...] | None
     root: Path
 
     def make_backend(self) -> ScriptedBackend:
         """A fresh scripted backend; each run must own its own instance."""
-        if self.script_path is None:
+        if self.script is None:
             raise SuiteError(f"{self.root}: bundle has no {SCRIPT_FILE}, cannot build a scripted backend")
-        return load_script(self.script_path)
+        return ScriptedBackend(self.script)
 
 
 def load_bundle(path: Path | str) -> TaskBundle:
@@ -85,10 +87,17 @@ def load_bundle(path: Path | str) -> TaskBundle:
         raise SuiteError(f"{sandbox_path}: {exc}") from None
     _check_specs_agree(task, registry, sandbox_path)
     script_path = root / SCRIPT_FILE
+    script = None
+    if script_path.is_file():
+        try:
+            script = tuple(script_from_jsonl(script_path.read_text(encoding="utf-8")))
+        except ValueError as exc:
+            raise SuiteError(f"{script_path}: {exc}") from None
     return TaskBundle(
         task=task,
         registry=registry,
-        script_path=script_path if script_path.is_file() else None,
+        script_path=None if script is None else script_path,
+        script=script,
         root=root,
     )
 

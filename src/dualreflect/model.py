@@ -423,13 +423,16 @@ def tool_from_dict(data: Any) -> ToolSpec:
             kind = ParamKind(raw["kind"])
         except (KeyError, ValueError):
             raise ValueError(f"parameter {raw.get('name')!r} has a missing or unknown kind") from None
+        values = raw.get("values", [])
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError(f"parameter {raw.get('name')!r} values must be an array of strings")
         params.append(
             ParamSpec(
                 name=str(raw.get("name", "")),
                 kind=kind,
                 required=bool(raw.get("required", False)),
                 description=str(raw.get("description", "")),
-                values=tuple(raw.get("values", ())),
+                values=tuple(values),
             )
         )
     return ToolSpec(name=str(name), description=str(description), parameters=tuple(params))
@@ -504,6 +507,6 @@ def task_to_json(task: TaskSpec) -> str:
 def task_from_json(text: str) -> TaskSpec:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"task document is not valid JSON: {exc}") from None
     return task_from_dict(data)

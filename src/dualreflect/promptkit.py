@@ -206,6 +206,9 @@ def extract_json(raw: str) -> dict[str, Any]:
         except json.JSONDecodeError as exc:
             if first_error is None:
                 first_error = (len(raw[: exc.pos].encode("utf-8")), exc.msg)
+        except RecursionError:
+            # Every later "{" sits inside the same nest, so none can do better.
+            raise MalformedJson(len(raw[:idx].encode("utf-8")), "nesting too deep") from None
         else:
             if isinstance(value, dict):
                 return value

@@ -177,6 +177,8 @@ def registry_from_dict(data: Any) -> SandboxRegistry:
         except ValueError as exc:
             raise ValueError(f"{path}.spec: {exc}") from None
         declared = {p.name for p in spec.parameters}
+        if not isinstance(raw.get("rules", []), list):
+            raise ValueError(f"{path}.rules: expected an array")
         rules = []
         for j, raw_rule in enumerate(raw.get("rules", [])):
             rpath = f"{path}.rules[{j}]"
@@ -235,6 +237,6 @@ def load_registry(path: Path | str) -> SandboxRegistry:
     :class:`ValueError` carrying the path of the offending entry."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"suite file is not valid JSON: {exc}") from None
     return registry_from_dict(data)

@@ -395,6 +395,50 @@ def write_bundle(root, task: TaskSpec, registry: SandboxRegistry, steps: list[Sc
         (root / "script.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _edit_json(change):
+    def rewrite(text: str) -> str:
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+
+    return rewrite
+
+
+#: Ways to break one file of a valid bundle: case -> (file, rewrite of its
+#: text, what the load error must say).
+BROKEN_BUNDLES = {
+    "rules-not-array": (
+        "sandbox.json",
+        _edit_json(lambda d: d["tools"][0].update(rules=5)),
+        "tools[0].rules: expected an array",
+    ),
+    "sandbox-values-not-array": (
+        "sandbox.json",
+        _edit_json(lambda d: d["tools"][0]["spec"]["parameters"][0].update(values=5)),
+        "values must be an array of strings",
+    ),
+    "task-values-not-array": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0]["parameters"][0].update(values=5)),
+        "values must be an array of strings",
+    ),
+    "sandbox-nested-too-deep": ("sandbox.json", lambda text: "[" * 100000, "not valid JSON"),
+    "task-nested-too-deep": ("task.json", lambda text: "[" * 100000, "not valid JSON"),
+    "script-line-missing-field": ("script.jsonl", lambda text: '{"text": "x"}\n' + text, "bad script line 1"),
+    "script-line-nested-too-deep": ("script.jsonl", lambda text: text + "[" * 100000 + "\n", "bad script line 2"),
+}
+
+
+def write_broken_bundle(root, case: str) -> None:
+    """A one-tool bundle with one file broken as ``BROKEN_BUNDLES[case]`` says."""
+    from pathlib import Path
+
+    write_bundle(root, make_task(["alpha"], task_id="broken"), make_registry(["alpha"]), [step("x")])
+    name, rewrite, _ = BROKEN_BUNDLES[case]
+    path = Path(root) / name
+    path.write_text(rewrite(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
 def accept_at_round_bundle(root, k: int, total_rounds: int = 7, task_id: str | None = None) -> TaskSpec:
     """A bundle whose answers are rejected until round ``k``, where the
     accepted answer carries a marker the success predicate looks for."""

@@ -1,8 +1,16 @@
 """Scripted playback, token accounting, HTTP retry, and record/replay."""
 
+import base64
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -23,7 +31,6 @@ from dualreflect.backend import (
     TransportError,
     canonical_request,
     fold_record_trace,
-    load_script,
     script_from_jsonl,
 )
 
@@ -66,7 +73,7 @@ class TestScripted:
         ]
         path = tmp_path / "script.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        backend = load_script(path)
+        backend = ScriptedBackend(script_from_jsonl(path.read_text(encoding="utf-8")))
         assert backend.complete(REQ).text == "alpha"
         assert backend.complete(REQ) == ChatResponse("beta", 9, 4)
 
@@ -76,52 +83,103 @@ class TestScripted:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    """Plan-driven chat-completions stub: pops one directive per request."""
+    """Plan-driven chat-completions stub: pops one directive per request.
+
+    Speaks HTTP/1.1 keep-alive and counts the connections it accepts and
+    closes; ``idle_timeout`` makes it close a connection left idle that long.
+    """
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out in two writes
+
+    def setup(self):
+        self.timeout = self.server.idle_timeout
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def finish(self):
+        super().finish()
+        with self.server.lock:
+            self.server.closed += 1
 
     def do_POST(self):  # noqa: N802 (http.server API)
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
-        self.server.requests.append(body)
-        directive = self.server.plan.pop(0) if self.server.plan else {"status": 200, "text": "default"}
+        with self.server.lock:
+            self.server.requests.append(body)
+            self.server.seen.append((self.path, dict(self.headers)))
+            directive = self.server.plan.pop(0) if self.server.plan else {"status": 200, "text": "default"}
+        time.sleep(self.server.delay)
         if directive["status"] != 200:
+            raw = directive.get("body", "").encode("utf-8")
             self.send_response(directive["status"])
-            self.end_headers()
-            return
-        payload = {
-            "choices": [{"message": {"role": "assistant", "content": directive["text"]}}],
-            "usage": {
-                "prompt_tokens": directive.get("prompt_tokens", 11),
-                "completion_tokens": directive.get("completion_tokens", 7),
-            },
-        }
-        raw = json.dumps(payload).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
+            for name, value in directive.get("headers", {}).items():
+                self.send_header(name, value)
+        else:
+            payload = {
+                "choices": [{"message": {"role": "assistant", "content": directive["text"]}}],
+                "usage": {
+                    "prompt_tokens": directive.get("prompt_tokens", 11),
+                    "completion_tokens": directive.get("completion_tokens", 7),
+                },
+            }
+            raw = json.dumps(payload).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
         self.wfile.write(raw)
+
+    def do_CONNECT(self):  # noqa: N802 (http.server API)
+        """Accept a tunnel, then hang up before any TLS handshake."""
+        with self.server.lock:
+            self.server.seen.append((self.path, dict(self.headers)))
+        self.send_response(200)
+        self.end_headers()
+        self.close_connection = True
 
     def log_message(self, *args):
         pass
 
 
+class _StubServer(ThreadingHTTPServer):
+    request_queue_size = 64  # sixteen clients connect at once; a SYN dropped from the backlog costs 1 s
+
+
 @pytest.fixture()
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+    server = _StubServer(("127.0.0.1", 0), _StubHandler)
+    server.lock = threading.Lock()
     server.plan = []
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server.seen = []
+    server.connections = server.closed = 0
+    server.idle_timeout = None
+    server.delay = 0.0
+    server.backends = []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     try:
         yield server
     finally:
+        for backend in server.backends:
+            backend.close()
         server.shutdown()
         server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
-def stub_backend(server, **kwargs):
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    return HttpBackend(base_url=base, model="stub-model", sleep=lambda _: None, **kwargs)
+def stub_url(server):
+    return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def stub_backend(server, base=None, **kwargs):
+    kwargs.setdefault("sleep", lambda _: None)
+    backend = HttpBackend(base_url=base or stub_url(server), model="stub-model", **kwargs)
+    server.backends.append(backend)
+    return backend
 
 
 class TestHttp:
@@ -134,6 +192,8 @@ class TestHttp:
         assert sent["model"] == "stub-model" and sent["temperature"] == 0.0
         assert sent["messages"][0] == {"role": "system", "content": "s"}
         assert sent["messages"][1] == {"role": "user", "content": "ping"}
+        path, headers = stub_server.seen[0]
+        assert path == "/chat/completions" and headers["Content-Type"] == "application/json"
 
     def test_429_three_times_exhausts_retries(self, stub_server):
         stub_server.plan = [{"status": 429}] * 3
@@ -148,11 +208,12 @@ class TestHttp:
         assert backend.complete(REQ).text == "recovered"
 
     def test_non_retryable_status_raises_api_error(self, stub_server):
-        stub_server.plan = [{"status": 404}]
+        stub_server.plan = [{"status": 404, "body": "é" * 600}]
         backend = stub_backend(stub_server)
         with pytest.raises(ApiError) as err:
             backend.complete(REQ)
         assert err.value.status == 404
+        assert str(err.value) == "HTTP 404: " + "é" * 500
         assert len(stub_server.requests) == 1
 
     @pytest.mark.parametrize("content", [None, 3, ["pong"]])
@@ -168,6 +229,13 @@ class TestHttp:
         with pytest.raises(ValueError):
             HttpBackend()
 
+    @pytest.mark.parametrize(
+        "base", ["ftp://example.com", "http://", "example.com/v1", "http://h/v1?x=1", "http://u:p@h/v1"]
+    )
+    def test_bad_base_url_rejected_at_construction(self, base):
+        with pytest.raises(ValueError, match="base URL"):
+            HttpBackend(base_url=base)
+
     def test_api_key_header_from_env(self, stub_server, monkeypatch):
         monkeypatch.setenv("MIRROR_API_KEY", "sekrit")
         stub_server.plan = [{"status": 200, "text": "x"}]
@@ -182,6 +250,114 @@ class TestHttp:
         monkeypatch.setattr(_StubHandler, "do_POST", spy)
         stub_backend(stub_server).complete(REQ)
         assert captured["auth"] == "Bearer sekrit"
+
+    @pytest.mark.parametrize(
+        "status, retry_after, slept",
+        [
+            (429, "3", 3),
+            (503, " 2 ", 2),
+            (429, "100", 8.0),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+            (429, "1.5", 0.5),
+            (500, "3", 0.5),
+        ],
+    )
+    def test_retry_after_seconds_replace_the_backoff(self, stub_server, status, retry_after, slept):
+        stub_server.plan = [{"status": status, "headers": {"Retry-After": retry_after}}, {"status": 200, "text": "ok"}]
+        sleeps = []
+        assert stub_backend(stub_server, sleep=sleeps.append).complete(REQ).text == "ok"
+        assert sleeps == [slept]
+
+
+class TestConnectionPool:
+    def test_sequential_calls_share_one_connection(self, stub_server):
+        backend = stub_backend(stub_server)
+        for _ in range(10):
+            backend.complete(REQ)
+        assert len(stub_server.requests) == 10 and stub_server.connections == 1
+
+    def test_concurrent_waves_reuse_the_pool(self, stub_server):
+        stub_server.delay = 0.02
+        backend = stub_backend(stub_server)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(2):  # a fresh executor per wave, as evaluate() makes
+                with ThreadPoolExecutor(max_workers=16) as pool:
+                    texts = list(pool.map(lambda _: backend.complete(REQ).text, range(16)))
+                assert texts == ["default"] * 16
+        finally:
+            sys.setswitchinterval(interval)
+        assert backend.token_totals() == TokenTotals(11 * 32, 7 * 32, 32)
+        assert len(stub_server.requests) == 32 and stub_server.connections <= 16
+
+    def test_server_closed_idle_connection_costs_no_attempt(self, stub_server):
+        stub_server.idle_timeout = 0.1
+        sleeps = []
+        backend = stub_backend(stub_server, sleep=sleeps.append)
+        backend.complete(REQ)
+        deadline = time.monotonic() + 10
+        while stub_server.closed < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert stub_server.closed == 1
+        assert backend.complete(REQ).text == "default"
+        assert sleeps == [] and len(stub_server.requests) == 2 and stub_server.connections == 2
+
+    def test_closed_port_is_transport_error_after_max_attempts(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        sleeps = []
+        backend = HttpBackend(base_url=f"http://127.0.0.1:{port}", max_attempts=3, sleep=sleeps.append)
+        with pytest.raises(TransportError, match="giving up after 3 attempts: transport failure"):
+            backend.complete(REQ)
+        assert sleeps == [0.5, 1.0]
+
+
+class TestProxy:
+    @pytest.fixture(autouse=True)
+    def clean_proxy_env(self, monkeypatch):
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+
+    def test_http_proxy_gets_the_absolute_uri(self, stub_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", stub_url(stub_server).replace("://", "://user:p%40ss@"))
+        assert stub_backend(stub_server, base="http://api.invalid/v1").complete(REQ).text == "default"
+        path, headers = stub_server.seen[0]
+        assert path == "http://api.invalid/v1/chat/completions" and headers["Host"] == "api.invalid"
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+    def test_https_through_http_proxy_opens_a_tunnel(self, stub_server, monkeypatch):
+        monkeypatch.setenv("https_proxy", stub_url(stub_server))
+        with pytest.raises(TransportError):
+            stub_backend(stub_server, base="https://api.invalid/v1", max_attempts=1).complete(REQ)
+        assert stub_server.seen[0][0] == "api.invalid:443" and stub_server.requests == []
+
+    def test_no_proxy_bypasses_the_proxy(self, stub_server, monkeypatch):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            dead_proxy = f"http://127.0.0.1:{sock.getsockname()[1]}"
+        monkeypatch.setenv("http_proxy", dead_proxy)
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        assert stub_backend(stub_server).complete(REQ).text == "default"
+        assert stub_server.seen[0][0] == "/chat/completions"
+
+    def test_unsupported_proxy_scheme_rejected(self, monkeypatch):
+        monkeypatch.setenv("http_proxy", "socks5://127.0.0.1:1080")
+        with pytest.raises(ValueError, match="unsupported proxy"):
+            HttpBackend(base_url="http://api.invalid")
+
+
+def test_package_imports_without_requests():
+    import dualreflect
+
+    code = (
+        "import sys; sys.modules['requests'] = None; import dualreflect, dualreflect.cli; "
+        "assert sys.modules['requests'] is None and 'urllib3' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dualreflect.__file__).parent.parent)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestRecordReplay:
@@ -264,8 +440,6 @@ class TestTotalsProperty:
 
 def test_only_backend_module_touches_the_network():
     # Structural guarantee: requests/socket/http clients appear nowhere else.
-    from pathlib import Path
-
     import dualreflect
 
     package_root = Path(dualreflect.__file__).parent

@@ -7,12 +7,14 @@ import pytest
 
 from dualreflect.cli import main, resolve_config
 from scenarios import (
+    BROKEN_BUNDLES,
     case_study_registry,
     case_study_steps,
     case_study_task,
     make_registry,
     make_task,
     step,
+    write_broken_bundle,
     write_bundle,
 )
 
@@ -168,6 +170,20 @@ class TestValidate:
         assert main(["validate", "--suite", str(DEMO_SUITE)]) == 0
         assert "2 task(s)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("case", sorted(BROKEN_BUNDLES))
+    @pytest.mark.parametrize("command", ["validate", "run", "eval"])
+    def test_malformed_bundle_is_an_error_exit_one(self, tmp_path, capsys, command, case):
+        suite = tmp_path / "suite"
+        write_broken_bundle(suite / "t", case)
+        argv = {
+            "validate": ["validate", "--task", str(suite / "t")],
+            "run": ["run", "--task", str(suite / "t")],
+            "eval": ["eval", "--suite", str(suite), "--report-dir", str(tmp_path / "report")],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and BROKEN_BUNDLES[case][2] in err
+
 
 class TestConfigPrecedence:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path):
@@ -214,6 +230,7 @@ class TestConfigErrors:
             ('{"max_rounds": "2"}', "max_rounds must be an integer"),
             ('{"thresholds": {"theta_p": 11}}', "theta_p must be an integer in [1, 10]"),
             ("{not json", "Expecting property name"),
+            pytest.param("[" * 100000, "maximum recursion depth", id="nested-too-deep"),
             (None, "No such file"),
         ],
     )

@@ -20,9 +20,10 @@ from dualreflect.model import (
     SuccessPredicate,
     Thresholds,
 )
-from dualreflect.orchestrator import run_task
+from dualreflect.orchestrator import RunStatus, run_task
 from dualreflect.sandbox import SandboxRegistry
 from scenarios import (
+    BROKEN_BUNDLES,
     GARBAGE,
     accept_at_round_bundle,
     answer_json,
@@ -34,6 +35,7 @@ from scenarios import (
     simple_tool,
     step,
     tool_json,
+    write_broken_bundle,
     write_bundle,
 )
 
@@ -122,6 +124,21 @@ class TestEvaluate:
         with pytest.raises(SuiteError, match=reason) as err:
             load_bundle(tmp_path / "t")
         assert repr(culprit) in str(err.value) and "sandbox.json" in str(err.value)
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_BUNDLES))
+    def test_malformed_bundle_file_is_a_suite_error(self, tmp_path, case):
+        name, _, message = BROKEN_BUNDLES[case]
+        write_broken_bundle(tmp_path / "t", case)
+        with pytest.raises(SuiteError) as err:
+            load_bundle(tmp_path / "t")
+        assert str(tmp_path / "t" / name) in str(err.value) and message in str(err.value)
+
+    def test_script_parsed_once_per_bundle(self, tmp_path):
+        write_bundle(tmp_path / "t", make_task(["alpha"], task_id="t"), make_registry(["alpha"]), passing_steps())
+        bundle = load_bundle(tmp_path / "t")
+        (tmp_path / "t" / "script.jsonl").unlink()
+        runs = [run_task(bundle.task, CFG, bundle.make_backend(), bundle.registry) for _ in range(2)]
+        assert [r.status for r in runs] == [RunStatus.ACCEPTED] * 2
 
 
 class TestHistograms:

@@ -1,6 +1,7 @@
 """Template loading/rendering, JSON extraction corpus, output validation."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,26 @@ class TestModelOutputBoundary:
         nodes = [("n1", "use alpha once", "alpha")]
         steps = [
             step(planner_json(nodes, float("nan"))),
+            step(planner_json(nodes, 9)),
+            step(tool_json("alpha", {"q": "x"}, 9)),
+            step(answer_json("the final summary", 9)),
+        ]
+        result = run_task(make_task(["alpha"]), RunConfig(), make_backend(steps), make_registry(["alpha"]))
+        assert result.status is RunStatus.ACCEPTED
+        calls = [(e["agent"], e["attempt"], e["parse_try"]) for e in result.events if e["kind"] == "agent_call"]
+        assert calls == [("planner", 1, 0), ("planner", 1, 1), ("tool", 1, 0), ("answer", 1, 0)]
+        assert result.events[-1]["kind"] == "run_end"
+
+    def test_deep_nesting_is_malformed_json_at_the_first_brace(self):
+        start = time.perf_counter()
+        with pytest.raises(MalformedJson, match="at byte 6: nesting too deep"):
+            extract_json('prose ' + '{"a":' * 100000)
+        assert time.perf_counter() - start < 0.5
+
+    def test_deeply_nested_reply_costs_one_parse_retry(self):
+        nodes = [("n1", "use alpha once", "alpha")]
+        steps = [
+            step('{"a":' * 100000),
             step(planner_json(nodes, 9)),
             step(tool_json("alpha", {"q": "x"}, 9)),
             step(answer_json("the final summary", 9)),
