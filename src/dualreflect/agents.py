@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .backend import ChatBackend, ChatRequest
 from .memory import LongTermMemory, ShortTermMemory
@@ -25,7 +25,6 @@ from .promptkit import (
     MalformedJson,
     NoJsonFound,
     OutputKind,
-    PromptTemplate,
     SchemaError,
     TemplateName,
     default_templates,
@@ -42,8 +41,6 @@ from .promptkit import (
 __all__ = ["ParseExhausted", "GateOutcome", "gate", "AgentRunner", "prompt_hash"]
 
 T = TypeVar("T", Plan, ToolCall, FinalAnswer)
-
-EmitFn = Callable[..., None]
 
 
 class ParseExhausted(Exception):
@@ -95,10 +92,6 @@ _REVISION_FOOTER = (
 )
 
 
-def _noop_emit(kind: str, **fields: Any) -> None:
-    return None
-
-
 class AgentRunner:
     """Runs the planner, tool, and answer agents for one task.
 
@@ -112,14 +105,13 @@ class AgentRunner:
         task: TaskSpec,
         backend: ChatBackend,
         config: RunConfig,
-        templates: Mapping[TemplateName, PromptTemplate] | None = None,
-        emit: EmitFn | None = None,
+        emit: Callable[..., None],
     ):
         self.task = task
         self.backend = backend
         self.config = config
-        self.templates = templates if templates is not None else default_templates()
-        self.emit = emit if emit is not None else _noop_emit
+        self.templates = default_templates()
+        self.emit = emit
         self._tool_names = frozenset(t.name for t in task.tools)
 
     # -- the three agents ----------------------------------------------------

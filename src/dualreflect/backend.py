@@ -43,7 +43,6 @@ __all__ = [
     "canonical_request",
     "script_from_jsonl",
     "read_record_trace",
-    "fold_record_trace",
 ]
 
 T = TypeVar("T")
@@ -225,12 +224,13 @@ class HttpBackend(ChatBackend):
 
     POSTs ``{base_url}/chat/completions`` and reads the first choice plus the
     usage block. Transport failures, 429, and 5xx are retried with capped
-    exponential backoff for ``max_attempts`` total tries; a 429 or 503 whose
+    exponential backoff for ``MAX_ATTEMPTS`` total tries; a 429 or 503 whose
     ``Retry-After`` is a whole number of seconds waits that long instead,
-    still capped by ``backoff_cap``. Other statuses raise :class:`ApiError`
-    immediately. Base URL and key default to the MIRROR_API_BASE /
-    MIRROR_API_KEY environment variables, and ``http(s)_proxy`` / ``no_proxy``
-    choose a proxy; the environment is read here, never per call.
+    still capped by ``BACKOFF_CAP``. Other statuses raise :class:`ApiError`
+    immediately, and a failed TLS certificate check is never retried. Base
+    URL and key default to the MIRROR_API_BASE / MIRROR_API_KEY environment
+    variables, and ``http(s)_proxy`` / ``no_proxy`` choose a proxy; the
+    environment is read here, never per call.
 
     Safe to share between threads: idle keep-alive connections wait in one
     LIFO pool, which grows to the peak number of concurrent calls.
@@ -238,16 +238,16 @@ class HttpBackend(ChatBackend):
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
     RETRY_AFTER_STATUSES = frozenset({429, 503})
+    TIMEOUT = 60.0  # seconds per socket operation
+    MAX_ATTEMPTS = 3
+    BACKOFF_BASE = 0.5
+    BACKOFF_CAP = 8.0
 
     def __init__(
         self,
         base_url: str | None = None,
         api_key: str | None = None,
         model: str = "default",
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        backoff_cap: float = 8.0,
         sleep: Callable[[float], None] = time.sleep,
     ):
         super().__init__()
@@ -259,10 +259,6 @@ class HttpBackend(ChatBackend):
             raise ValueError(f"base URL must look like http(s)://host[:port][/path], got {base!r}")
         api_key = api_key or os.environ.get(API_KEY_ENV)
         self.model = model
-        self._timeout = timeout
-        self._max_attempts = max_attempts
-        self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
         self._sleep = sleep
         self._headers = {"Content-Type": "application/json"}
         if api_key:
@@ -294,10 +290,12 @@ class HttpBackend(ChatBackend):
             }
         ).encode("utf-8")
         last_failure = "no attempt made"
-        for attempt in range(1, self._max_attempts + 1):
-            delay = min(self._backoff_cap, self._backoff_base * 2 ** (attempt - 1))
+        for attempt in range(1, self.MAX_ATTEMPTS + 1):
+            delay = min(self.BACKOFF_CAP, self.BACKOFF_BASE * 2 ** (attempt - 1))
             try:
                 status, retry_after, data = self._post(body)
+            except ssl.SSLCertVerificationError as exc:  # an OSError no retry can fix
+                raise TransportError(f"TLS certificate verification failed: {exc}") from None
             except (OSError, http.client.HTTPException) as exc:
                 last_failure = f"transport failure: {exc}"
             else:
@@ -308,10 +306,10 @@ class HttpBackend(ChatBackend):
                 last_failure = f"HTTP {status}"
                 seconds = (retry_after or "").strip()
                 if status in self.RETRY_AFTER_STATUSES and seconds.isascii() and seconds.isdigit():
-                    delay = min(self._backoff_cap, int(seconds))
-            if attempt < self._max_attempts:
+                    delay = min(self.BACKOFF_CAP, int(seconds))
+            if attempt < self.MAX_ATTEMPTS:
                 self._sleep(delay)
-        raise TransportError(f"giving up after {self._max_attempts} attempts: {last_failure}")
+        raise TransportError(f"giving up after {self.MAX_ATTEMPTS} attempts: {last_failure}")
 
     def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
         """One attempt: status, Retry-After header and the whole body. The
@@ -342,9 +340,9 @@ class HttpBackend(ChatBackend):
                 return conn
             conn.close()
         if self._tls is None:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self._timeout)
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.TIMEOUT)
         else:
-            conn = http.client.HTTPSConnection(self._host, self._port, timeout=self._timeout, context=self._tls)
+            conn = http.client.HTTPSConnection(self._host, self._port, timeout=self.TIMEOUT, context=self._tls)
         if self._tunnel is not None:
             host, port, headers = self._tunnel
             conn.set_tunnel(host, port, headers)
@@ -430,16 +428,6 @@ def read_record_trace(path: Path | str) -> list[tuple[ChatRequest, ChatResponse]
         "trace",
         lambda data: (_request_from_dict(data["request"]), _response_from_dict(data["response"])),
     )
-
-
-def fold_record_trace(path: Path | str) -> TokenTotals:
-    """Exact token totals recomputed from a trace file."""
-    prompt = completion = calls = 0
-    for _, response in read_record_trace(path):
-        prompt += response.prompt_tokens
-        completion += response.completion_tokens
-        calls += 1
-    return TokenTotals(prompt, completion, calls)
 
 
 class ReplayBackend(ChatBackend):

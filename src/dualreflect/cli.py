@@ -28,6 +28,12 @@ from .orchestrator import RunResult, RunStatus, run_task
 __all__ = ["main", "build_parser", "resolve_config"]
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualreflect",
@@ -55,8 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a suite directory")
     p_eval.add_argument("--suite", type=Path, required=True)
-    p_eval.add_argument("--repeats", type=int, default=1)
-    p_eval.add_argument("--jobs", type=int, default=1)
+    p_eval.add_argument("--repeats", type=_positive_int, default=1)
+    p_eval.add_argument("--jobs", type=_positive_int, default=1)
     p_eval.add_argument("--report-dir", type=Path, default=Path("report"))
     add_backend_flags(p_eval)
     add_config_flags(p_eval)

@@ -55,9 +55,12 @@ class TaskBundle:
 
     task: TaskSpec
     registry: SandboxRegistry
-    script_path: Path | None
     script: tuple[ScriptStep, ...] | None
     root: Path
+
+    @property
+    def script_path(self) -> Path | None:
+        return None if self.script is None else self.root / SCRIPT_FILE
 
     def make_backend(self) -> ScriptedBackend:
         """A fresh scripted backend; each run must own its own instance."""
@@ -93,13 +96,7 @@ def load_bundle(path: Path | str) -> TaskBundle:
             script = tuple(script_from_jsonl(script_path.read_text(encoding="utf-8")))
         except ValueError as exc:
             raise SuiteError(f"{script_path}: {exc}") from None
-    return TaskBundle(
-        task=task,
-        registry=registry,
-        script_path=None if script is None else script_path,
-        script=script,
-        root=root,
-    )
+    return TaskBundle(task=task, registry=registry, script=script, root=root)
 
 
 def _check_specs_agree(task: TaskSpec, registry: SandboxRegistry, sandbox_path: Path) -> None:
@@ -230,6 +227,8 @@ def evaluate(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     bundles = load_suite(suite_dir, require_scripts=backend_factory is None)
     factory = backend_factory if backend_factory is not None else (lambda bundle: bundle.make_backend())
     cells = [(bundle, repeat) for repeat in range(1, repeats + 1) for bundle in bundles]

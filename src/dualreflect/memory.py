@@ -12,12 +12,13 @@ Instances are confined to a single task run and never shared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Mapping
 
-from .model import Plan, TrajectoryStep
+from .model import Plan, PlanNode, TrajectoryStep
 from .promptkit import (
     PromptTemplate,
     TemplateName,
+    describe_result,
     render,
     render_parameters,
     render_trajectory,
@@ -25,9 +26,6 @@ from .promptkit import (
 
 __all__ = [
     "EMPTY_MEMORY_TEXT",
-    "StepGap",
-    "RoundGap",
-    "STMEntry",
     "ShortTermMemory",
     "LTMRecord",
     "LongTermMemory",
@@ -38,39 +36,19 @@ __all__ = [
 EMPTY_MEMORY_TEXT = "No previous failed trajectories."
 
 
-class StepGap(Exception):
-    """A short-term entry skipped a step number."""
+class ShortTermMemory:
+    """Failed attempts on the subtask currently bound, reset on success.
 
-
-class RoundGap(Exception):
-    """A long-term record skipped a round index."""
-
-
-@dataclass(frozen=True)
-class STMEntry:
-    """One failed attempt on the current subtask.
-
-    ``observation`` is the executor's result text and ``reflection`` the tool
-    agent's own evaluation from that attempt; they are kept separate even
-    though the entry template renders only the observation.
+    Entries are the round's own trajectory steps, numbered by position when
+    rendered. ``node_id`` is empty until the first :meth:`bind`.
     """
 
-    step: int
-    subtask: str
-    action: str
-    action_input: dict[str, Any]
-    observation: str
-    reflection: str
+    def __init__(self) -> None:
+        self.node_id = ""
+        self.subtask = ""
+        self.entries: list[TrajectoryStep] = []
 
-
-class ShortTermMemory:
-    """Failed attempts for the subtask currently bound, reset on success."""
-
-    def __init__(self, node_id: str = ""):
-        self.node_id = node_id
-        self.entries: list[STMEntry] = []
-
-    def bind(self, node_id: str) -> int:
+    def bind(self, node: PlanNode) -> int:
         """Point the memory at a new subtask attempt sequence.
 
         Any leftover entries (possible only when the previous subtask
@@ -79,14 +57,11 @@ class ShortTermMemory:
         entries were dropped.
         """
         cleared = self.reset()
-        self.node_id = node_id
+        self.node_id, self.subtask = node.id, node.subtask
         return cleared
 
-    def record(self, entry: STMEntry) -> None:
-        expected = self.entries[-1].step + 1 if self.entries else 1
-        if entry.step != expected:
-            raise StepGap(f"expected step {expected}, got {entry.step}")
-        self.entries.append(entry)
+    def record(self, step: TrajectoryStep) -> None:
+        self.entries.append(step)
 
     def reset(self) -> int:
         """Empty the store (idempotent); returns how many entries it held."""
@@ -102,14 +77,14 @@ class ShortTermMemory:
             render(
                 template,
                 {
-                    "step": str(e.step),
-                    "subtask": e.subtask,
-                    "function_name": e.action,
-                    "parameters": render_parameters(e.action_input),
-                    "observation": e.observation,
+                    "step": str(i),
+                    "subtask": self.subtask,
+                    "function_name": step.call.function,
+                    "parameters": render_parameters(step.call.parameters),
+                    "observation": describe_result(step.observation),
                 },
             )
-            for e in self.entries
+            for i, step in enumerate(self.entries, 1)
         ]
         return "\n\n".join(blocks)
 
@@ -122,23 +97,19 @@ class LTMRecord:
     terminal executor error when a subtask ran out of retries.
     """
 
-    round_index: int
     plan: Plan
     trajectory: tuple[TrajectoryStep, ...]
     inter_reflection: str
 
 
 class LongTermMemory:
-    """Task-scoped store of whole failed-round trajectories."""
+    """Task-scoped store of whole failed-round trajectories, numbered by
+    position when rendered."""
 
-    def __init__(self, task_id: str):
-        self.task_id = task_id
+    def __init__(self) -> None:
         self.records: list[LTMRecord] = []
 
     def append(self, record: LTMRecord) -> None:
-        expected = self.records[-1].round_index + 1 if self.records else 1
-        if record.round_index != expected:
-            raise RoundGap(f"expected round {expected}, got {record.round_index}")
         self.records.append(record)
 
     def reset(self) -> int:
@@ -155,11 +126,11 @@ class LongTermMemory:
             render(
                 template,
                 {
-                    "round_index": str(r.round_index),
+                    "round_index": str(i),
                     "trajectory": render_trajectory(r.plan, r.trajectory),
                     "inter_reflection": r.inter_reflection,
                 },
             )
-            for r in self.records
+            for i, r in enumerate(self.records, 1)
         ]
         return "\n\n".join(blocks)

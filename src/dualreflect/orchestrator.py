@@ -14,11 +14,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .agents import AgentRunner, ParseExhausted
 from .backend import BackendError, ChatBackend, TokenTotals
-from .memory import LongTermMemory, LTMRecord, ShortTermMemory, STMEntry
+from .memory import LongTermMemory, LTMRecord, ShortTermMemory
 from .model import (
     ExecutionStatus,
     FinalAnswer,
@@ -30,7 +30,7 @@ from .model import (
     node_transition,
     validate_task,
 )
-from .promptkit import PromptTemplate, TemplateName, describe_result
+from .promptkit import describe_result
 from .sandbox import SandboxRegistry
 
 __all__ = [
@@ -132,7 +132,6 @@ class TaskRun:
         config: RunConfig,
         backend: ChatBackend,
         registry: SandboxRegistry,
-        templates: Mapping[TemplateName, PromptTemplate] | None = None,
     ):
         report = validate_task(task)
         if not report.ok:
@@ -140,11 +139,11 @@ class TaskRun:
         self.config = config
         self.trace = TraceRecorder(task.id)
         self.session = registry.session()
-        self.ltm = LongTermMemory(task.id)
+        self.ltm = LongTermMemory()
         self.stm = ShortTermMemory()
         self.status = RunStatus.RUNNING
         self.trajectory: list[TrajectoryStep] = []
-        self.runner = AgentRunner(task, backend, config, templates, emit=self.trace.emit)
+        self.runner = AgentRunner(task, backend, config, self.trace.emit)
         self._best: tuple[FinalAnswer, int] | None = None
         self._error: str | None = None
 
@@ -160,9 +159,10 @@ class TaskRun:
             self._error = str(exc)
         return self._finish()
 
-    def run_round(self) -> str:
-        """One plan -> execute -> answer cycle; returns the round outcome
-        (``accepted``, ``rejected``, or ``execution_failure``)."""
+    def run_round(self) -> None:
+        """One plan -> execute -> answer cycle; its ``round_end`` event
+        records the outcome (``accepted``, ``rejected``, or
+        ``execution_failure``)."""
         config = self.config
         if self.status is not RunStatus.RUNNING:
             raise RuntimeError(f"run_round requires a running state, not {self.status.value}")
@@ -179,7 +179,7 @@ class TaskRun:
         if not nodes:
             failure = "planner produced an empty plan; nothing to execute"
         for i, node in enumerate(nodes):
-            cleared = self.stm.bind(node.id)
+            cleared = self.stm.bind(node)
             if cleared:
                 self.trace.emit("stm_reset", node=node.id, reason="rebind", cleared=cleared)
             succeeded = False
@@ -200,7 +200,8 @@ class TaskRun:
                     forced=tool_out.forced,
                     divergence=call.function != node.function,
                 )
-                self.trajectory.append(TrajectoryStep(node.id, call, result, attempt))
+                step = TrajectoryStep(node.id, call, result, attempt)
+                self.trajectory.append(step)
                 if result.status is ExecutionStatus.OK:
                     nodes[i] = node_transition(node, NodeStatus.SUCCEEDED)
                     related.append((node.id, result.payload))
@@ -208,17 +209,13 @@ class TaskRun:
                     self.trace.emit("stm_reset", node=node.id, reason="subtask_success", cleared=cleared)
                     succeeded = True
                     break
-                entry = STMEntry(
-                    step=len(self.stm.entries) + 1,
-                    subtask=node.subtask,
-                    action=call.function,
-                    action_input=call.parameters,
-                    observation=describe_result(result),
-                    reflection=call.reflection.evaluation,
-                )
-                self.stm.record(entry)
+                self.stm.record(step)
                 self.trace.emit(
-                    "stm_record", node=node.id, step=entry.step, action=entry.action, observation=entry.observation
+                    "stm_record",
+                    node=node.id,
+                    step=len(self.stm.entries),
+                    action=call.function,
+                    observation=describe_result(result),
                 )
             if not succeeded:
                 nodes[i] = node_transition(node, NodeStatus.FAILED)
@@ -241,7 +238,7 @@ class TaskRun:
         if failure is not None:
             self._store_round(plan, failure)
             self.trace.emit("round_end", outcome="execution_failure", **base_fields)
-            return "execution_failure"
+            return
 
         answer_out = self.runner.answer(plan, self.trajectory)
         answer = answer_out.accepted
@@ -252,24 +249,17 @@ class TaskRun:
             self.trace.emit(
                 "round_end", outcome="accepted", answer_score=answer.reflection.score, **base_fields
             )
-            return "accepted"
+            return
         self._store_round(
             plan,
             f"Answer (score {answer.reflection.score}/10): {answer.text}\n"
             f"Evaluation: {answer.reflection.evaluation}",
         )
         self.trace.emit("round_end", outcome="rejected", answer_score=answer.reflection.score, **base_fields)
-        return "rejected"
 
     def _store_round(self, plan: Plan, inter_reflection: str) -> None:
-        record = LTMRecord(
-            round_index=self.trace.round,
-            plan=plan,
-            trajectory=tuple(self.trajectory),
-            inter_reflection=inter_reflection,
-        )
-        self.ltm.append(record)
-        self.trace.emit("ltm_append", round_index=record.round_index, records=len(self.ltm.records))
+        self.ltm.append(LTMRecord(plan, tuple(self.trajectory), inter_reflection))
+        self.trace.emit("ltm_append", round_index=self.trace.round, records=len(self.ltm.records))
 
     def _finish(self) -> RunResult:
         cleared = self.stm.reset()
@@ -307,7 +297,6 @@ def run_task(
     config: RunConfig,
     backend: ChatBackend,
     registry: SandboxRegistry,
-    templates: Mapping[TemplateName, PromptTemplate] | None = None,
     trace_path: Path | str | None = None,
 ) -> RunResult:
     """Run one task to a terminal status.
@@ -316,7 +305,7 @@ def run_task(
     memories reset) rather than raising. Deterministic under a scripted
     backend: same task, config, and script give byte-identical traces.
     """
-    result = TaskRun(task, config, backend, registry, templates).run()
+    result = TaskRun(task, config, backend, registry).run()
     if trace_path is not None:
         Path(trace_path).write_text(result.trace_jsonl(), encoding="utf-8")
     return result

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from dualreflect.agents import AgentRunner, ParseExhausted, gate
 from dualreflect.backend import ScriptedBackend
-from dualreflect.memory import LongTermMemory, ShortTermMemory, STMEntry
+from dualreflect.memory import LongTermMemory, ShortTermMemory
 from dualreflect.model import (
     ExecutionResult,
     ExecutionStatus,
@@ -34,10 +34,9 @@ def config(theta_p=9, theta_t=8, theta_a=8, revision_cap=3, parse_retry_cap=2):
 
 def runner(steps, cfg=None, events=None):
     backend = ScriptedBackend(steps)
-    emit = None
-    if events is not None:
-        emit = lambda kind, **fields: events.append({"kind": kind, **fields})
-    return AgentRunner(TASK, backend, cfg or config(), emit=emit), backend
+    sink = events if events is not None else []
+    emit = lambda kind, **fields: sink.append({"kind": kind, **fields})
+    return AgentRunner(TASK, backend, cfg or config(), emit), backend
 
 
 def nodes(*functions):
@@ -67,7 +66,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha", "beta"), 9, "covers everything")),
         ]
         r, backend = runner(steps)
-        outcome = r.plan(LongTermMemory("t"))
+        outcome = r.plan(LongTermMemory())
         assert backend.token_totals().calls == 2
         assert outcome.attempts == 2 and outcome.forced is False and outcome.passed is True
         assert len(outcome.accepted.nodes) == 2
@@ -78,7 +77,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha", "beta"), 9)),
         ]
         r, backend = runner(steps)
-        r.plan(LongTermMemory("t"))
+        r.plan(LongTermMemory())
         revision_prompt = backend.requests[1].user
         assert "the first try missed the beta half" in revision_prompt
         assert "Previous Rejected Attempts:" in revision_prompt
@@ -91,7 +90,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha", "beta"), 5, "c")),
         ]
         r, _ = runner(steps)
-        outcome = r.plan(LongTermMemory("t"))
+        outcome = r.plan(LongTermMemory())
         assert outcome.forced is True and outcome.passed is False
         assert outcome.attempts == 3
         assert outcome.accepted.reflection.evaluation == "a"  # ties -> earliest
@@ -103,7 +102,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha"), 6, "middle")),
         ]
         r, _ = runner(steps)
-        outcome = r.plan(LongTermMemory("t"))
+        outcome = r.plan(LongTermMemory())
         assert outcome.accepted.reflection.evaluation == "higher"
 
     def test_unknown_function_consumes_parse_retry(self):
@@ -112,7 +111,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha"), 9, "fixed")),
         ]
         r, backend = runner(steps)
-        outcome = r.plan(LongTermMemory("t"))
+        outcome = r.plan(LongTermMemory())
         assert outcome.accepted.nodes[0].function == "alpha"
         assert backend.token_totals().calls == 2
         assert "Correction:" in backend.requests[1].user
@@ -122,13 +121,13 @@ class TestPlanner:
         steps = [step(GARBAGE), step(GARBAGE), step(GARBAGE)]
         r, backend = runner(steps, cfg)
         with pytest.raises(ParseExhausted):
-            r.plan(LongTermMemory("t"))
+            r.plan(LongTermMemory())
         assert backend.token_totals().calls == 3  # 1 + parse_retry_cap
 
     def test_long_memory_slot_filled_with_sentinel_when_fresh(self):
         steps = [step(planner_json(nodes("alpha"), 9))]
         r, backend = runner(steps)
-        r.plan(LongTermMemory("t"))
+        r.plan(LongTermMemory())
         assert "No previous failed trajectories." in backend.requests[0].user
 
 
@@ -138,7 +137,7 @@ class TestToolAgent:
 
     def test_boundary_score_passes(self):
         r, _ = runner([step(tool_json("alpha", {"q": "x"}, 8))])
-        outcome = r.select_tool(self.node(), [], ShortTermMemory("n1"))
+        outcome = r.select_tool(self.node(), [], ShortTermMemory())
         assert outcome.passed is True and outcome.attempts == 1
 
     def test_revision_carries_prior_reflection_text(self):
@@ -147,14 +146,14 @@ class TestToolAgent:
             step(tool_json("alpha", {"q": "good"}, 9)),
         ]
         r, backend = runner(steps)
-        outcome = r.select_tool(self.node(), [], ShortTermMemory("n1"))
+        outcome = r.select_tool(self.node(), [], ShortTermMemory())
         assert outcome.attempts == 2 and outcome.accepted.parameters == {"q": "good"}
         assert "the query ignores the date" in backend.requests[1].user
 
     def test_divergence_flagged_in_events(self):
         events = []
         r, _ = runner([step(tool_json("beta", {"q": "x"}, 9))], events=events)
-        outcome = r.select_tool(self.node("alpha"), [], ShortTermMemory("n1"))
+        outcome = r.select_tool(self.node("alpha"), [], ShortTermMemory())
         assert outcome.accepted.function == "beta"
         outputs = [e for e in events if e["kind"] == "agent_output"]
         assert outputs[-1]["divergence"] is True
@@ -162,15 +161,15 @@ class TestToolAgent:
     def test_no_divergence_for_bound_function(self):
         events = []
         r, _ = runner([step(tool_json("alpha", {"q": "x"}, 9))], events=events)
-        r.select_tool(self.node("alpha"), [], ShortTermMemory("n1"))
+        r.select_tool(self.node("alpha"), [], ShortTermMemory())
         outputs = [e for e in events if e["kind"] == "agent_output"]
         assert outputs[-1]["divergence"] is False
 
     def test_prompt_includes_related_outputs_and_stm(self):
-        stm = ShortTermMemory("n1")
-        stm.record(
-            STMEntry(1, "use the tool", "alpha", {"q": "old"}, "[simulated_failure] timeout", "try again")
-        )
+        stm = ShortTermMemory()
+        stm.bind(self.node())
+        call = ToolCall("alpha", {"q": "old"}, IntraReflection(evaluation="try again", score=8))
+        stm.record(TrajectoryStep("n1", call, ExecutionResult(ExecutionStatus.SIMULATED_FAILURE, "timeout"), 1))
         r, backend = runner([step(tool_json("alpha", {"q": "x"}, 9))])
         r.select_tool(self.node(), [("n0", "previous observation")], stm)
         prompt = backend.requests[0].user
@@ -184,7 +183,7 @@ class TestToolAgent:
             step(tool_json("alpha", {"q": "x"}, 9)),
         ]
         r, backend = runner(steps)
-        outcome = r.select_tool(self.node(), [], ShortTermMemory("n1"))
+        outcome = r.select_tool(self.node(), [], ShortTermMemory())
         assert outcome.accepted.function == "alpha"
         assert backend.token_totals().calls == 2
 
@@ -245,7 +244,7 @@ class TestInvariants:
             step(planner_json(nodes("alpha"), 5)),
         ]
         r, backend = runner(steps, cfg)
-        outcome = r.plan(LongTermMemory("t"))
+        outcome = r.plan(LongTermMemory())
         assert outcome.forced is True
         assert backend.token_totals().calls <= cfg.revision_cap * (1 + cfg.parse_retry_cap)
 
@@ -259,7 +258,7 @@ class TestInvariants:
             cfg = config(theta_p=theta)
             steps = [step(planner_json(nodes("alpha"), s)) for s in scores]
             r, _ = runner(steps, cfg)
-            return r.plan(LongTermMemory("t")).accepted.reflection.score
+            return r.plan(LongTermMemory()).accepted.reflection.score
 
         assert accepted_score(threshold) <= accepted_score(threshold + 1)
 
@@ -271,7 +270,7 @@ class TestInvariants:
             step(planner_json(nodes("alpha"), 9)),
         ]
         r, _ = runner(steps, events=events)
-        r.plan(LongTermMemory("t"))
+        r.plan(LongTermMemory())
         calls = [e for e in events if e["kind"] == "agent_call"]
         outputs = [e for e in events if e["kind"] == "agent_output"]
         assert len(calls) == 3  # garbage call included

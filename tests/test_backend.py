@@ -4,6 +4,7 @@ import base64
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -30,7 +31,6 @@ from dualreflect.backend import (
     TokenTotals,
     TransportError,
     canonical_request,
-    fold_record_trace,
     script_from_jsonl,
 )
 
@@ -308,10 +308,23 @@ class TestConnectionPool:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         sleeps = []
-        backend = HttpBackend(base_url=f"http://127.0.0.1:{port}", max_attempts=3, sleep=sleeps.append)
+        backend = HttpBackend(base_url=f"http://127.0.0.1:{port}", sleep=sleeps.append)
         with pytest.raises(TransportError, match="giving up after 3 attempts: transport failure"):
             backend.complete(REQ)
         assert sleeps == [0.5, 1.0]
+
+    def test_tls_verification_failure_is_not_retried(self, monkeypatch):
+        posts, sleeps = [], []
+
+        def post(self, body):
+            posts.append(body)
+            raise ssl.SSLCertVerificationError(1, "certificate verify failed: self-signed certificate")
+
+        monkeypatch.setattr(HttpBackend, "_post", post)
+        backend = HttpBackend(base_url="https://api.invalid/v1", sleep=sleeps.append)
+        with pytest.raises(TransportError, match="^TLS certificate verification failed: .*self-signed"):
+            backend.complete(REQ)
+        assert len(posts) == 1 and sleeps == []
 
 
 class TestProxy:
@@ -331,7 +344,7 @@ class TestProxy:
     def test_https_through_http_proxy_opens_a_tunnel(self, stub_server, monkeypatch):
         monkeypatch.setenv("https_proxy", stub_url(stub_server))
         with pytest.raises(TransportError):
-            stub_backend(stub_server, base="https://api.invalid/v1", max_attempts=1).complete(REQ)
+            stub_backend(stub_server, base="https://api.invalid/v1").complete(REQ)
         assert stub_server.seen[0][0] == "api.invalid:443" and stub_server.requests == []
 
     def test_no_proxy_bypasses_the_proxy(self, stub_server, monkeypatch):
@@ -417,7 +430,7 @@ class TestRecordReplay:
         replay = ReplayBackend(path)
         for req, _ in self.three_calls():
             replay.complete(req)
-        assert replay.token_totals() == fold_record_trace(path) == TokenTotals(33, 18, 3)
+        assert replay.token_totals() == TokenTotals(33, 18, 3)
 
 
 class TestTotalsProperty:

@@ -38,6 +38,15 @@ class TestExitCodes:
         assert main(["run"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--repeats", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_eval_count_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
+        report_dir = tmp_path / "report"
+        argv = ["eval", "--suite", str(DEMO_SUITE), flag, value, "--report-dir", str(report_dir)]
+        assert main(argv) == 2
+        assert f"{flag}: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+        assert not report_dir.exists()
+
 
 class TestRun:
     def test_run_bundle_success(self, tmp_path, capsys):

@@ -90,6 +90,13 @@ class TestEvaluate:
         parallel = evaluate(tmp_path, CFG, repeats=2, jobs=4)
         assert sequential == parallel
 
+    @pytest.mark.parametrize("counts", [{"repeats": 0}, {"jobs": 0}, {"jobs": -3}])
+    def test_counts_below_one_rejected(self, tmp_path, counts):
+        write_three_task_suite(tmp_path)
+        name = next(iter(counts))
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+            evaluate(tmp_path, CFG, **counts)
+
     def test_token_mean_is_exact_fold(self, tmp_path):
         write_three_task_suite(tmp_path)
         result = evaluate(tmp_path, CFG, repeats=2)

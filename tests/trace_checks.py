@@ -15,7 +15,10 @@ from dualreflect.model import Thresholds
 def check_memory_lifecycle(events: tuple[dict[str, Any], ...]) -> list[str]:
     """Replays memory events: STM must be empty right after every subtask
     success, LTM size must equal completed failed rounds at every round
-    boundary, and both must be empty at run end."""
+    boundary, and both must be empty at run end. Every ``stm_record`` step
+    must be the STM size plus one and every ``ltm_append`` round index the
+    new LTM size; the stores number entries by position, so this is where
+    that numbering is checked."""
     violations: list[str] = []
     stm_size = 0
     ltm_size = 0
