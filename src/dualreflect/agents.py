@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .backend import ChatBackend, ChatRequest
@@ -77,7 +78,16 @@ def gate(score: int, threshold: int) -> bool:
 
 
 def prompt_hash(system: str, user: str) -> str:
-    return hashlib.sha256((system + "\x00" + user).encode("utf-8")).hexdigest()
+    digest = _system_digest(system).copy()
+    digest.update(user.encode("utf-8"))
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=8)
+def _system_digest(system: str) -> Any:
+    """sha256 state after the system prompt and the NUL separator, copied by
+    every call; three system prompts are packaged."""
+    return hashlib.sha256((system + "\x00").encode("utf-8"))
 
 
 _CORRECTION = (
@@ -113,6 +123,7 @@ class AgentRunner:
         self.templates = default_templates()
         self.emit = emit
         self._tool_names = frozenset(t.name for t in task.tools)
+        self._functions = render_tool_list(task.tools)
 
     # -- the three agents ----------------------------------------------------
 
@@ -125,7 +136,7 @@ class AgentRunner:
             {
                 "task_description": self.task.description,
                 "long_memory": ltm.render(self.templates),
-                "functions": render_tool_list(self.task.tools),
+                "functions": self._functions,
             },
         )
 
@@ -226,9 +237,10 @@ class AgentRunner:
         node_function: str | None = None,
     ) -> GateOutcome[T]:
         rejected: list[T] = []
+        quotes: list[str] = []
         for attempt in range(1, self.config.revision_cap + 1):
-            user = base_user + self._revision_context(rejected, quote)
-            value = self._attempt(agent, attempt, system, user, validate)
+            revision = _REVISION_HEADER + "\n\n".join(quotes) + _REVISION_FOOTER if quotes else ""
+            value = self._attempt(agent, attempt, system, base_user + revision, validate)
             score = value.reflection.score
             passed = gate(score, threshold)
             self.emit(
@@ -242,20 +254,14 @@ class AgentRunner:
             if passed:
                 return GateOutcome(accepted=value, attempts=attempt, forced=False, passed=True)
             rejected.append(value)
+            if attempt < self.config.revision_cap:  # quoted once, and only if a later attempt reads it
+                quotes.append(
+                    f"Attempt {attempt} (rejected, score {score}/10):\n"
+                    + json.dumps(quote(value), ensure_ascii=False, indent=2)
+                    + f"\nIts intra-reflection: {value.reflection.evaluation}"
+                )
         best = max(rejected, key=lambda v: v.reflection.score)  # ties -> earliest
         return GateOutcome(accepted=best, attempts=self.config.revision_cap, forced=True, passed=False)
-
-    def _revision_context(self, rejected: Sequence[T], quote: Callable[[T], dict[str, Any]]) -> str:
-        if not rejected:
-            return ""
-        blocks = []
-        for i, value in enumerate(rejected, 1):
-            blocks.append(
-                f"Attempt {i} (rejected, score {value.reflection.score}/10):\n"
-                + json.dumps(quote(value), ensure_ascii=False, indent=2)
-                + f"\nIts intra-reflection: {value.reflection.evaluation}"
-            )
-        return _REVISION_HEADER + "\n\n".join(blocks) + _REVISION_FOOTER
 
     def _attempt(
         self,

@@ -191,7 +191,11 @@ class SuiteResult:
 BackendFactory = Callable[[TaskBundle], ChatBackend]
 
 
-def _run_cell(bundle: TaskBundle, repeat: int, config: RunConfig, factory: BackendFactory) -> tuple[RunRecord, RunResult]:
+def _run_cell(
+    bundle: TaskBundle, repeat: int, config: RunConfig, factory: BackendFactory
+) -> tuple[RunRecord, list[tuple[str, int]]]:
+    """One run, reduced to its record and its (agent, score) pairs so the
+    run's events die with the cell."""
     backend = factory(bundle)
     result = run_task(bundle.task, config, backend, bundle.registry)
     passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
@@ -207,7 +211,7 @@ def _run_cell(bundle: TaskBundle, repeat: int, config: RunConfig, factory: Backe
         completion_tokens=result.token_totals.completion_tokens,
         backend_calls=result.token_totals.calls,
     )
-    return record, result
+    return record, [(e["agent"], e["score"]) for e in result.events if e["kind"] == "agent_output"]
 
 
 def evaluate(
@@ -241,10 +245,9 @@ def evaluate(
 
     records = tuple(record for record, _ in outcomes)
     histograms = {agent: [0] * 10 for agent in AGENTS}
-    for _, result in outcomes:
-        for event in result.events:
-            if event["kind"] == "agent_output":
-                histograms[event["agent"]][event["score"] - 1] += 1
+    for _, scores in outcomes:
+        for agent, score in scores:
+            histograms[agent][score - 1] += 1
 
     per_repeat: list[float] = []
     n_tasks = len(bundles)

@@ -77,10 +77,8 @@ class TraceRecorder:
         self._seq = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
-        event: dict[str, Any] = {"kind": kind, "round": self.round, "seq": self._seq, "task": self.task_id}
-        event.update(fields)
+        self.events.append({"kind": kind, "round": self.round, "seq": self._seq, "task": self.task_id, **fields})
         self._seq += 1
-        self.events.append(event)
 
 
 def events_to_jsonl(events: list[dict[str, Any]] | tuple[dict[str, Any], ...]) -> str:
@@ -305,6 +303,8 @@ def run_task(
     memories reset) rather than raising. Deterministic under a scripted
     backend: same task, config, and script give byte-identical traces.
     """
+    if trace_path is not None:
+        Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
     result = TaskRun(task, config, backend, registry).run()
     if trace_path is not None:
         Path(trace_path).write_text(result.trace_jsonl(), encoding="utf-8")

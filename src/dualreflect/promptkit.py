@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -122,6 +123,15 @@ class PromptTemplate:
     body: str
     placeholders: tuple[str, ...]
 
+    @cached_property
+    def _parts(self) -> tuple[str, ...]:
+        """The body split at its declared slots, once: literal text at even
+        indices, slot names at odd ones. Undeclared ``{x}`` stays literal."""
+        if not self.placeholders:
+            return (self.body,)
+        slot = re.compile(r"\{(" + "|".join(re.escape(p) for p in self.placeholders) + r")\}")
+        return tuple(slot.split(self.body))
+
 
 def _template_dir() -> Any:
     return resources.files("dualreflect").joinpath("prompts")
@@ -188,21 +198,24 @@ def render(template: PromptTemplate, slots: Mapping[str, str]) -> str:
     for placeholder in template.placeholders:
         if placeholder not in slots:
             raise MissingSlot(placeholder, template.name.value)
-    if not template.placeholders:
-        return template.body
-    pattern = re.compile("|".join(re.escape("{" + p + "}") for p in template.placeholders))
-    return pattern.sub(lambda m: slots[m.group(0)[1:-1]], template.body)
+    parts = template._parts
+    out = list(parts)
+    out[1::2] = [slots[name] for name in parts[1::2]]
+    return "".join(out)
+
+
+#: Shared by every call and thread, as ``json.loads`` shares its own.
+_DECODER = json.JSONDecoder()
 
 
 def extract_json(raw: str) -> dict[str, Any]:
     """Pull the first syntactically complete top-level JSON object out of a
     completion, skipping prose and code-fence markers around it."""
-    decoder = json.JSONDecoder()
     first_error: tuple[int, str] | None = None
     idx = raw.find("{")
     while idx != -1:
         try:
-            value, _ = decoder.raw_decode(raw, idx)
+            value, _ = _DECODER.raw_decode(raw, idx)
         except json.JSONDecodeError as exc:
             if first_error is None:
                 first_error = (len(raw[: exc.pos].encode("utf-8")), exc.msg)

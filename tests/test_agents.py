@@ -1,10 +1,13 @@
 """Gating, revision loops, parse retries, and prompt assembly per agent."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualreflect.agents import AgentRunner, ParseExhausted, gate
+from dualreflect import agents
+from dualreflect.agents import AgentRunner, ParseExhausted, gate, prompt_hash
 from dualreflect.backend import ScriptedBackend
 from dualreflect.memory import LongTermMemory, ShortTermMemory
 from dualreflect.model import (
@@ -18,6 +21,7 @@ from dualreflect.model import (
     ToolCall,
     TrajectoryStep,
 )
+from dualreflect.promptkit import TemplateName, default_templates
 from scenarios import GARBAGE, answer_json, make_task, planner_json, step, tool_json
 
 TOOLS = ["alpha", "beta"]
@@ -177,6 +181,50 @@ class TestToolAgent:
         assert "[simulated_failure] timeout" in prompt
         assert "Given Subtask:\nuse the tool" in prompt
 
+    # Three rejections: a forced gate. Slot markers and non-ASCII text in the
+    # quoted values must come back verbatim.
+    FORCED = [
+        step(tool_json("alpha", {"q": "café {short_memory}"}, 5, "too vague: {subtask}")),
+        step(tool_json("beta", {"q": "second"}, 6, "wrong tool")),
+        step(tool_json("alpha", {"q": "third"}, 4, "worse")),
+    ]
+
+    def test_each_rejected_attempt_quoted_once(self, monkeypatch):
+        quoted, real = [], agents.tool_call_to_output_dict
+        monkeypatch.setattr(agents, "tool_call_to_output_dict", lambda call: quoted.append(call) or real(call))
+        r, _ = runner(self.FORCED)
+        outcome = r.select_tool(self.node(), [], ShortTermMemory())
+        assert outcome.forced is True and outcome.accepted.parameters == {"q": "second"}
+        # Each rejected attempt is quoted once, and the last one not at all.
+        assert [call.parameters["q"] for call in quoted] == ["café {short_memory}", "second"]
+
+    def test_third_prompt_quotes_attempts_one_and_two(self):
+        r, backend = runner(self.FORCED)
+        r.select_tool(self.node(), [], ShortTermMemory())
+        first = (
+            "Attempt 1 (rejected, score 5/10):\n"
+            '{\n  "function": "alpha",\n  "parameters": {\n    "q": "café {short_memory}"\n  },\n'
+            '  "intra_reflection": {\n    "evaluation": "too vague: {subtask}",\n    "score": 5\n  }\n}\n'
+            "Its intra-reflection: too vague: {subtask}"
+        )
+        second = (
+            "Attempt 2 (rejected, score 6/10):\n"
+            '{\n  "function": "beta",\n  "parameters": {\n    "q": "second"\n  },\n'
+            '  "intra_reflection": {\n    "evaluation": "wrong tool",\n    "score": 6\n  }\n}\n'
+            "Its intra-reflection: wrong tool"
+        )
+        header = "\n\nPrevious Rejected Attempts:\n"
+        footer = (
+            "\nThe attempts above scored below the required quality threshold. "
+            "Revise your output to address the weaknesses identified in their intra-reflections."
+        )
+        base = backend.requests[0].user
+        assert [req.user for req in backend.requests] == [
+            base,
+            base + header + first + footer,
+            base + header + first + "\n\n" + second + footer,
+        ]
+
     def test_unknown_function_from_model_is_schema_failure(self):
         steps = [
             step(tool_json("gamma", {"q": "x"}, 9)),
@@ -275,3 +323,19 @@ class TestInvariants:
         outputs = [e for e in events if e["kind"] == "agent_output"]
         assert len(calls) == 3  # garbage call included
         assert [(e["attempt"], e["score"], e["accepted"]) for e in outputs] == [(1, 7, False), (2, 9, True)]
+
+
+SYSTEM_PROMPTS = [default_templates()[name].body for name in TemplateName if name.value.endswith("System")]
+
+
+class TestPromptHash:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(SYSTEM_PROMPTS) | st.text(), st.text())
+    def test_is_sha256_of_nul_joined_prompts(self, system, user):
+        # Twice per system prompt: a reused hash state must not keep the first user prompt.
+        for text in (user, user + "x"):
+            assert prompt_hash(system, text) == hashlib.sha256((system + "\x00" + text).encode("utf-8")).hexdigest()
+
+    def test_non_ascii_prompts(self):
+        system, user = "Systém ⟨λ⟩ 🙂", "naïve user \u0000 text"
+        assert prompt_hash(system, user) == hashlib.sha256((system + "\x00" + user).encode("utf-8")).hexdigest()

@@ -19,6 +19,7 @@ from scenarios import (
 )
 
 DEMO_SUITE = Path(__file__).parent.parent / "suites" / "demo"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_case_bundle(root):
@@ -60,6 +61,14 @@ class TestRun:
         trace_lines = (tmp_path / "trace.jsonl").read_text(encoding="utf-8").strip().splitlines()
         assert json.loads(trace_lines[0])["kind"] == "round_start"
         assert json.loads(trace_lines[-1])["kind"] == "run_end"
+
+    def test_trace_out_into_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--task", str(DEMO_SUITE / "flaky-lookup"), "--trace-out", "missing-dir/trace.jsonl"])
+        assert code == 0
+        assert "success predicate: pass" in capsys.readouterr().out
+        trace = (tmp_path / "missing-dir" / "trace.jsonl").read_bytes()
+        assert trace == (GOLDEN / "flaky-lookup.trace.jsonl").read_bytes()
 
     def test_run_aborting_bundle_exits_one(self, tmp_path, capsys):
         task = make_task(["alpha"], task_id="will-abort")

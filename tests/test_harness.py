@@ -1,10 +1,12 @@
 """Suite evaluation: pass rates, histograms, reports, sweeps, predicates."""
 
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
 
+from dualreflect import harness
 from dualreflect.harness import (
     SuiteError,
     check_success,
@@ -89,6 +91,22 @@ class TestEvaluate:
         sequential = evaluate(tmp_path, CFG, repeats=2, jobs=1)
         parallel = evaluate(tmp_path, CFG, repeats=2, jobs=4)
         assert sequential == parallel
+
+    def test_no_run_result_outlives_its_cell(self, tmp_path, monkeypatch):
+        # Memory must not grow with tasks x repeats: each run's events are
+        # folded into its record and histogram counts before the next starts.
+        write_three_task_suite(tmp_path)
+        earlier = []
+
+        def checked_run_task(*args, **kwargs):
+            assert [ref() for ref in earlier] == [None] * len(earlier)
+            result = run_task(*args, **kwargs)
+            earlier.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(harness, "run_task", checked_run_task)
+        result = evaluate(tmp_path, CFG, repeats=2, jobs=1)
+        assert len(earlier) == 6 and [r.passed for r in result.runs] == [True, True, False] * 2
 
     @pytest.mark.parametrize("counts", [{"repeats": 0}, {"jobs": 0}, {"jobs": -3}])
     def test_counts_below_one_rejected(self, tmp_path, counts):

@@ -1,6 +1,7 @@
 """Template loading/rendering, JSON extraction corpus, output validation."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from dualreflect.promptkit import (
     NoJsonFound,
     OutputKind,
     PromptError,
+    PromptTemplate,
     SchemaError,
     TemplateName,
     default_templates,
@@ -104,6 +106,50 @@ class TestRender:
         body = templates[TemplateName.PLANNER_SYSTEM].body
         assert render(templates[TemplateName.PLANNER_SYSTEM], {}) == body
         assert '"score": <score>' in body  # the JSON example block survives loading
+
+
+def regex_render(template, slots):
+    """Reference ``render``: one regex alternation over the declared slots,
+    substituted in a single pass."""
+    if not template.placeholders:
+        return template.body
+    pattern = re.compile("|".join(re.escape("{" + p + "}") for p in template.placeholders))
+    return pattern.sub(lambda m: slots[m.group(0)[1:-1]], template.body)
+
+
+#: Slot names, some of them prefixes of others.
+SLOT_NAMES = ("a", "ab", "abc", "b", "_x", "task_1")
+
+
+@st.composite
+def templates_with_slots(draw):
+    """A body mixing literal text, stray braces, undeclared ``{x}`` markers
+    and declared slots (repeated and adjacent), with values that carry
+    braces and slot markers of their own."""
+    picked = draw(st.permutations(SLOT_NAMES))
+    names = picked[: draw(st.integers(0, 4))]  # the rest stay undeclared
+    markers = [f"{{{n}}}" for n in picked]
+    text = st.text(alphabet="ab_{} \nλ", max_size=6) | st.sampled_from(["{", "}", "{}", "{{"])
+    piece = text | st.sampled_from(markers)
+    body = "".join(draw(st.lists(piece, max_size=12)))
+    value = st.text(max_size=6) | st.lists(piece, max_size=3).map("".join)
+    slots = draw(st.fixed_dictionaries({n: value for n in names}))
+    return PromptTemplate(TemplateName.PLANNER_USER, body, tuple(names)), slots
+
+
+class TestRenderMatchesRegexSubstitution:
+    @settings(max_examples=300, deadline=None)
+    @given(templates_with_slots())
+    def test_generated_templates(self, case):
+        template, slots = case
+        assert render(template, slots) == regex_render(template, slots)
+        assert render(template, slots) == regex_render(template, slots)  # the split body is reused
+
+    @pytest.mark.parametrize("name", list(TemplateName))
+    def test_packaged_templates(self, name):
+        template = default_templates()[name]
+        slots = {p: f"<{p} {{{p}}} {{x}}>" for p in template.placeholders}
+        assert render(template, slots) == regex_render(template, slots)
 
 
 class TestExtractJsonCorpus:
