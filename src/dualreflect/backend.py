@@ -6,24 +6,25 @@ that capture or serve a JSON-Lines trace of (request, response) pairs.
 Token accounting is exact on every backend — counts come from the upstream
 ``usage`` block or from the script itself, never from estimation.
 
-This is the only module in the package that performs network I/O.
+This is the only module in the package that performs network I/O. The HTTP
+and TLS stack is imported by :class:`HttpBackend` alone, so scripted and
+replayed runs never load it.
 """
 
 from __future__ import annotations
 
-import base64
-import http.client
 import json
 import os
-import select
-import socket
-import ssl
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit
+
+if TYPE_CHECKING:
+    import http.client
+    import socket
 
 __all__ = [
     "BackendError",
@@ -250,6 +251,10 @@ class HttpBackend(ChatBackend):
         model: str = "default",
         sleep: Callable[[float], None] = time.sleep,
     ):
+        # The first call must not pay for loading the HTTP and TLS stack.
+        import http.client  # noqa: F401
+        import ssl
+
         super().__init__()
         base = base_url or os.environ.get(API_BASE_ENV)
         if not base:
@@ -279,6 +284,9 @@ class HttpBackend(ChatBackend):
         self._idle: list[http.client.HTTPConnection] = []
 
     def _complete(self, request: ChatRequest) -> ChatResponse:
+        import http.client
+        import ssl
+
         body = json.dumps(
             {
                 "model": request.model,
@@ -331,6 +339,8 @@ class HttpBackend(ChatBackend):
         """The most recently used idle connection, or a new one. An idle socket
         that is readable was closed by the server (or holds bytes nobody asked
         for), so it is dropped here instead of costing an attempt."""
+        import http.client
+
         while True:
             with self._lock:
                 conn = self._idle.pop() if self._idle else None
@@ -360,6 +370,7 @@ def _proxy_for(url: SplitResult) -> tuple[SplitResult, dict[str, str]] | None:
     """The proxy that ``http(s)_proxy`` / ``all_proxy`` name for ``url``,
     unless ``no_proxy`` exempts its host, plus the headers that authenticate
     to it. Only plain-http proxies are supported."""
+    import base64
     from urllib.request import getproxies, proxy_bypass
 
     proxies = getproxies()
@@ -378,6 +389,8 @@ def _proxy_for(url: SplitResult) -> tuple[SplitResult, dict[str, str]] | None:
 
 def _readable(sock: socket.socket) -> bool:
     """True when a read would not block: end of stream, reset, or stray bytes."""
+    import select
+
     if hasattr(select, "poll"):
         poller = select.poll()
         poller.register(sock, select.POLLIN)

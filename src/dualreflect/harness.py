@@ -10,8 +10,6 @@ CSVs for external plotting.
 from __future__ import annotations
 
 import json
-import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -153,7 +151,8 @@ def check_success(task: TaskSpec, result: RunResult) -> bool:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Summary of one (task, repeat) cell."""
+    """Summary of one (task, repeat) cell. ``error`` says why an aborted run
+    stopped; a cell whose backend or run raised is aborted with no tokens."""
 
     task_id: str
     repeat: int
@@ -165,6 +164,7 @@ class RunRecord:
     prompt_tokens: int
     completion_tokens: int
     backend_calls: int
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,14 @@ def _run_cell(
     bundle: TaskBundle, repeat: int, config: RunConfig, factory: BackendFactory
 ) -> tuple[RunRecord, list[tuple[str, int]]]:
     """One run, reduced to its record and its (agent, score) pairs so the
-    run's events die with the cell."""
-    backend = factory(bundle)
-    result = run_task(bundle.task, config, backend, bundle.registry)
-    passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
+    run's events die with the cell. Any exception from the backend factory or
+    the run is this cell's failure, never the eval's."""
+    try:
+        result = run_task(bundle.task, config, factory(bundle), bundle.registry)
+        passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return RunRecord(bundle.task.id, repeat, RunStatus.ABORTED.value, False, 0, 0, None, 0, 0, 0, error=error), []
     record = RunRecord(
         task_id=bundle.task.id,
         repeat=repeat,
@@ -210,6 +214,7 @@ def _run_cell(
         prompt_tokens=result.token_totals.prompt_tokens,
         completion_tokens=result.token_totals.completion_tokens,
         backend_calls=result.token_totals.calls,
+        error=result.error,
     )
     return record, [(e["agent"], e["score"]) for e in result.events if e["kind"] == "agent_output"]
 
@@ -229,6 +234,8 @@ def evaluate(
     never halts the suite. Aggregation is order-independent, so ``jobs`` > 1
     changes nothing but wall time.
     """
+    import statistics
+
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if jobs < 1:
@@ -237,6 +244,8 @@ def evaluate(
     factory = backend_factory if backend_factory is not None else (lambda bundle: bundle.make_backend())
     cells = [(bundle, repeat) for repeat in range(1, repeats + 1) for bundle in bundles]
     if jobs > 1 and cells:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(lambda cell: _run_cell(cell[0], cell[1], config, factory), cells))
     else:
@@ -294,7 +303,8 @@ def _fmt(value: float | None, suffix: str = "") -> str:
 def _csv_cell(value: Any) -> str:
     if value is None:
         return ""
-    return str(value).lower() if isinstance(value, bool) else str(value)
+    text = str(value).lower() if isinstance(value, bool) else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def _text_table(result: SuiteResult) -> str:

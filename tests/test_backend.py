@@ -373,6 +373,29 @@ def test_package_imports_without_requests():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_scripted_cli_never_loads_the_http_stack(tmp_path):
+    # Scripted eval, run and replay, with http.client, ssl, email, socket,
+    # select and concurrent.futures blocked, still write the golden bytes.
+    import dualreflect
+
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": str(Path(dualreflect.__file__).parent.parent)}
+
+    def cli(*argv):
+        command = [sys.executable, "-S", str(tests / "no_http_stack.py"), *argv]
+        proc = subprocess.run(command, env=env, cwd=tests.parent, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+    cli("eval", "--suite", "suites/demo", "--repeats", "3", "--jobs", "1", "--report-dir", str(tmp_path / "eval"))
+    task, golden_trace = "suites/demo/flaky-lookup", (tests / "golden" / "flaky-lookup.trace.jsonl").read_bytes()
+    cli("run", "--task", task, "--record", str(tmp_path / "rec.jsonl"), "--trace-out", str(tmp_path / "run.jsonl"))
+    cli("replay", "--task", task, "--trace", str(tmp_path / "rec.jsonl"), "--trace-out", str(tmp_path / "replay.jsonl"))
+    for name in ("report.json", "report.txt", "histograms.csv", "runs.csv"):
+        assert (tmp_path / "eval" / name).read_bytes() == (tests / "golden" / "eval" / name).read_bytes(), name
+    assert (tmp_path / "run.jsonl").read_bytes() == golden_trace
+    assert (tmp_path / "replay.jsonl").read_bytes() == golden_trace
+
+
 class TestRecordReplay:
     def three_calls(self):
         return [

@@ -1,12 +1,17 @@
 """Suite evaluation: pass rates, histograms, reports, sweeps, predicates."""
 
 import json
+import shutil
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dualreflect import harness
+from dualreflect.backend import RecordingBackend, ScriptedBackend
 from dualreflect.harness import (
     SuiteError,
     check_success,
@@ -42,6 +47,8 @@ from scenarios import (
 )
 
 CFG = RunConfig(thresholds=Thresholds(theta_p=9, theta_t=8, theta_a=8), max_rounds=5)
+DEMO_SUITE = Path(__file__).parent.parent / "suites" / "demo"
+DEMO_BUNDLES = load_suite(DEMO_SUITE)
 
 
 def passing_steps(marker="ALL-GOOD"):
@@ -84,6 +91,7 @@ class TestEvaluate:
         result = evaluate(tmp_path, CFG)
         record = next(r for r in result.runs if r.task_id == "task-4-aborts")
         assert record.status == "aborted" and record.passed is False
+        assert record.error == "planner agent produced 3 unusable outputs in a row"
         assert len(result.runs) == 4
 
     def test_jobs_do_not_change_aggregates(self, tmp_path):
@@ -107,6 +115,51 @@ class TestEvaluate:
         monkeypatch.setattr(harness, "run_task", checked_run_task)
         result = evaluate(tmp_path, CFG, repeats=2, jobs=1)
         assert len(earlier) == 6 and [r.passed for r in result.runs] == [True, True, False] * 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_factory_failure_stays_in_its_cell(self, tmp_path, jobs):
+        write_three_task_suite(tmp_path / "suite")
+
+        def factory(bundle):
+            if bundle.task.id == "task-2":
+                raise RuntimeError("boom, no backend")
+            return bundle.make_backend()
+
+        result = evaluate(tmp_path / "suite", CFG, jobs=jobs, backend_factory=factory)
+        assert [(r.task_id, r.status, r.passed) for r in result.runs] == [
+            ("task-1", "accepted", True),
+            ("task-2", "aborted", False),
+            ("task-3", "accepted", False),
+        ]
+        assert result.runs[1].error == "RuntimeError: boom, no backend"
+        assert result.runs[1].backend_calls == 0 and result.runs[0].error is None
+        paths = report(result, tmp_path / "out")
+        assert all(path.is_file() for path in paths.values())
+        assert '"RuntimeError: boom, no backend"' in paths["runs"].read_text(encoding="utf-8")
+
+    def test_recording_write_failure_stays_in_its_cell(self, tmp_path):
+        write_three_task_suite(tmp_path / "suite")
+
+        def factory(bundle):
+            recording = tmp_path / "rec" / bundle.task.id
+            backend = RecordingBackend(bundle.make_backend(), recording)
+            if bundle.task.id == "task-3":  # the first append of this run fails
+                recording.unlink()
+                recording.mkdir()
+            return backend
+
+        result = evaluate(tmp_path / "suite", CFG, backend_factory=factory)
+        assert [r.status for r in result.runs] == ["accepted", "accepted", "aborted"]
+        assert result.runs[2].error.startswith("IsADirectoryError: ")
+
+    def test_keyboard_interrupt_is_not_contained(self, tmp_path):
+        write_three_task_suite(tmp_path / "suite")
+
+        def factory(bundle):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            evaluate(tmp_path / "suite", CFG, backend_factory=factory)
 
     @pytest.mark.parametrize("counts", [{"repeats": 0}, {"jobs": 0}, {"jobs": -3}])
     def test_counts_below_one_rejected(self, tmp_path, counts):
@@ -215,6 +268,20 @@ class TestReport:
         hist_lines = paths["histograms"].read_text(encoding="utf-8").strip().splitlines()
         assert len(hist_lines) == 1 + 30  # header + 3 agents x 10 scores
 
+    def test_report_without_error_key_still_reads(self, tmp_path):
+        write_three_task_suite(tmp_path / "suite")
+        result = evaluate(tmp_path / "suite", CFG)
+        data = json.loads(report(result, tmp_path / "out")["json"].read_text(encoding="utf-8"))
+        for run in data["runs"]:
+            del run["error"]
+        assert suite_result_from_dict(data) == result
+
+    def test_runs_csv_quotes_error_text(self, tmp_path):
+        record = harness.RunRecord("t", 1, "aborted", False, 0, 0, None, 0, 0, 0, error='a, "b"\nc')
+        result = replace(evaluate(tmp_path, CFG), runs=(record,))
+        runs = report(result, tmp_path / "out")["runs"].read_text(encoding="utf-8")
+        assert runs.endswith('t,1,aborted,false,0,0,,0,0,0,"a, ""b""\nc"\n')
+
     def test_empty_suite_reports_na(self, tmp_path):
         (tmp_path / "suite").mkdir()
         result = evaluate(tmp_path / "suite", CFG)
@@ -290,3 +357,75 @@ class TestSweeps:
         cfg = RunConfig(thresholds=CFG.thresholds, max_rounds=max_rounds)
         result = evaluate(tmp_path, cfg)
         assert (result.pass_rate == 100.0) is expected_pass
+
+
+def leaf_paths(node, path=()):
+    """Paths to every scalar, empty list and empty object in a JSON document."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from leaf_paths(value, (*path, key))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from leaf_paths(value, (*path, i))
+    else:
+        yield path
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=12),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=12),
+    st.sampled_from(["", "q", "lookup", "string", "integer", "ok", "simulated_failure", "answer_contains"]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.sampled_from(["name", "kind", "q", "x"]), st.integers(), max_size=2),
+)
+
+COMPLETION_EDITS = st.text(max_size=6) | st.sampled_from(['"', "{", "}", "[", "]", ",", "null", "-1", "11", "1e999"])
+
+
+class TestBoundaryProperties:
+    """Outside input ends as a typed value or a documented failure."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_single_leaf_mutation_loads_or_is_a_suite_error(self, tmp_path, data):
+        bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
+        name = data.draw(st.sampled_from([harness.TASK_FILE, harness.SANDBOX_FILE]))
+        doc = json.loads((bundle.root / name).read_text(encoding="utf-8"))
+        *parents, key = data.draw(st.sampled_from(list(leaf_paths(doc))))
+        parent = doc
+        for part in parents:
+            parent = parent[part]
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(JSON_VALUES)
+        root = tmp_path / "mutant"
+        shutil.rmtree(root, ignore_errors=True)
+        shutil.copytree(bundle.root, root)
+        (root / name).write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_bundle(root)
+        except SuiteError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_completion_ends_with_one_run_end(self, data):
+        bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
+        steps = list(bundle.script)
+        i = data.draw(st.integers(0, len(steps) - 1))
+        text = steps[i].response.text
+        start = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:start]
+        else:
+            end = data.draw(st.integers(start, len(text)))
+            text = text[:start] + data.draw(COMPLETION_EDITS) + text[end:]
+        steps[i] = replace(steps[i], response=replace(steps[i].response, text=text))
+        result = run_task(bundle.task, RunConfig(), ScriptedBackend(steps), bundle.registry)
+        assert [e["kind"] for e in result.events].count("run_end") == 1
+        assert result.events[-1]["kind"] == "run_end" and result.status is not RunStatus.RUNNING
