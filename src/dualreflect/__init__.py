@@ -14,7 +14,6 @@ from .backend import (
     ChatResponse,
     HttpBackend,
     RecordingBackend,
-    ReplayBackend,
     ScriptedBackend,
     ScriptStep,
     TokenTotals,
@@ -47,7 +46,6 @@ __all__ = [
     "ChatResponse",
     "HttpBackend",
     "RecordingBackend",
-    "ReplayBackend",
     "ScriptedBackend",
     "ScriptStep",
     "TokenTotals",

@@ -1,10 +1,12 @@
 """Chat-completion backends behind one interface.
 
 Three implementations: a live OpenAI-compatible HTTP client with bounded
-retry, a deterministic scripted playback double, and record/replay wrappers
-that capture or serve a JSON-Lines trace of (request, response) pairs.
-Token accounting is exact on every backend — counts come from the upstream
-``usage`` block or from the script itself, never from estimation.
+retry, a deterministic scripted playback double, and a recording wrapper
+that captures each exchange as a script line. A capture is a script whose
+steps carry the request they answer, so the scripted backend replays it and
+fails on the first byte of request divergence. Token accounting is exact on
+every backend — counts come from the upstream ``usage`` block or from the
+script itself, never from estimation.
 
 This is the only module in the package that performs network I/O. The HTTP
 and TLS stack is imported by :class:`HttpBackend` alone, so scripted and
@@ -19,7 +21,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 from urllib.parse import SplitResult, unquote, urlsplit
 
 if TYPE_CHECKING:
@@ -40,13 +42,9 @@ __all__ = [
     "ScriptedBackend",
     "HttpBackend",
     "RecordingBackend",
-    "ReplayBackend",
     "canonical_request",
     "script_from_jsonl",
-    "read_record_trace",
 ]
-
-T = TypeVar("T")
 
 API_BASE_ENV = "MIRROR_API_BASE"
 API_KEY_ENV = "MIRROR_API_KEY"
@@ -105,8 +103,9 @@ class ChatResponse:
     def __post_init__(self) -> None:
         if not isinstance(self.text, str):
             raise TypeError(f"completion text must be a string, got {type(self.text).__name__}")
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be non-negative")
+        for count in (self.prompt_tokens, self.completion_tokens):
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise ValueError(f"token counts must be non-negative integers, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -117,20 +116,10 @@ class TokenTotals:
 
 
 def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
-    return ChatRequest(
-        system=data["system"],
-        user=data["user"],
-        model=data.get("model", "scripted"),
-        temperature=data.get("temperature", 0.0),
-    )
-
-
-def _response_from_dict(data: dict[str, Any]) -> ChatResponse:
-    return ChatResponse(
-        text=data["text"],
-        prompt_tokens=int(data["prompt_tokens"]),
-        completion_tokens=int(data["completion_tokens"]),
-    )
+    request = ChatRequest(data["system"], data["user"], data.get("model", "scripted"), data.get("temperature", 0.0))
+    if not all(isinstance(value, str) for value in (request.system, request.user, request.model)):
+        raise TypeError("request system, user and model must be strings")
+    return request
 
 
 def canonical_request(request: ChatRequest) -> str:
@@ -165,31 +154,35 @@ class ChatBackend:
         with self._lock:
             return self._totals
 
-    def reset_totals(self) -> None:
-        with self._lock:
-            self._totals = TokenTotals()
-
 
 @dataclass(frozen=True)
 class ScriptStep:
-    """One pre-authored completion; the hint documents what it answers."""
+    """One pre-authored completion; the hint documents what it answers. A
+    step with a ``request`` (every step of a capture has one) answers only a
+    request equal to it, or identical to it in canonical form."""
 
     response: ChatResponse
     hint: str = ""
+    request: ChatRequest | None = None
 
 
 class ScriptedBackend(ChatBackend):
     """Serves pre-authored responses strictly in order.
 
     Steps match by position, not content — order-matching plus trace
-    assertions is stricter than brittle content matching. Single consumer by
-    contract: give each concurrent run its own instance.
+    assertions is stricter than brittle content matching. A step that
+    carries a request also checks the incoming one against it and raises
+    :class:`ReplayMismatch` at the first byte where their canonical forms
+    diverge; the model name then comes from the first step's request. Single consumer by contract: give
+    each concurrent run its own instance.
     """
 
     def __init__(self, steps: Iterable[ScriptStep]):
         super().__init__()
         self._steps = tuple(steps)
         self._cursor = 0
+        if self._steps and self._steps[0].request is not None:
+            self.model = self._steps[0].request.model
         #: Every request seen, in order; tests assert on prompt content here.
         self.requests: list[ChatRequest] = []
 
@@ -197,27 +190,41 @@ class ScriptedBackend(ChatBackend):
         if self._cursor >= len(self._steps):
             raise ScriptExhausted(f"script exhausted after {len(self._steps)} steps")
         step = self._steps[self._cursor]
+        if step.request is not None and request != step.request:
+            # Comparing values first keeps the canonical encoding, which costs
+            # about as much as the rest of a call, off the matching path.
+            want = canonical_request(step.request).encode("utf-8")
+            got = canonical_request(request).encode("utf-8")
+            if got != want:
+                offset = _first_divergence(want, got)
+                raise ReplayMismatch(
+                    offset,
+                    f"request {self._cursor + 1} diverged from the recording at byte {offset}: "
+                    f"recorded ...{_excerpt(want, offset)}... got ...{_excerpt(got, offset)}...",
+                )
         self._cursor += 1
         self.requests.append(request)
         return step.response
 
 
-def _read_jsonl(text: str, what: str, parse: Callable[[Any], T]) -> list[T]:
-    """Parse one JSON document per non-blank line; errors name the line."""
-    items = []
+def script_from_jsonl(text: str) -> list[ScriptStep]:
+    """Parse a script or a capture: one JSON object per non-blank line with
+    the completion ``text``, its integer token counts, an optional ``hint``
+    and an optional ``request``. Errors name the line."""
+    steps = []
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         try:
-            items.append(parse(json.loads(line)))
+            data = json.loads(line)
+            if not isinstance(data, dict):
+                raise TypeError("not a JSON object")
+            request = _request_from_dict(data["request"]) if "request" in data else None
+            response = ChatResponse(data["text"], data["prompt_tokens"], data["completion_tokens"])
+            steps.append(ScriptStep(response, data.get("hint", ""), request))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise ValueError(f"bad {what} line {i + 1}: {exc}") from None
-    return items
-
-
-def script_from_jsonl(text: str) -> list[ScriptStep]:
-    """Parse a script file: one step per line with declared token counts."""
-    return _read_jsonl(text, "script", lambda data: ScriptStep(_response_from_dict(data), data.get("hint", "")))
+            raise ValueError(f"bad script line {i + 1}: {exc}") from None
+    return steps
 
 
 class HttpBackend(ChatBackend):
@@ -404,15 +411,16 @@ def _parse_completion(data: bytes) -> ChatResponse:
         usage = payload["usage"]
         return ChatResponse(
             text=payload["choices"][0]["message"]["content"],
-            prompt_tokens=int(usage["prompt_tokens"]),
-            completion_tokens=int(usage["completion_tokens"]),
+            prompt_tokens=usage["prompt_tokens"],
+            completion_tokens=usage["completion_tokens"],
         )
     except (ValueError, KeyError, IndexError, TypeError, RecursionError):
         raise ApiError(200, "malformed completion payload") from None
 
 
 class RecordingBackend(ChatBackend):
-    """Pass-through wrapper appending each exchange to a JSON-Lines trace."""
+    """Pass-through wrapper appending each exchange to a JSON-Lines capture:
+    one script line per call, the response fields plus the ``request``."""
 
     def __init__(self, inner: ChatBackend, path: Path | str):
         super().__init__()
@@ -424,53 +432,9 @@ class RecordingBackend(ChatBackend):
 
     def _complete(self, request: ChatRequest) -> ChatResponse:
         response = self._inner.complete(request)
-        line = json.dumps(
-            {"request": asdict(request), "response": asdict(response)},
-            sort_keys=True,
-            ensure_ascii=False,
-        )
+        line = json.dumps({**asdict(response), "request": asdict(request)}, sort_keys=True, ensure_ascii=False)
         with self._path.open("a", encoding="utf-8") as fh:
             fh.write(line + "\n")
-        return response
-
-
-def read_record_trace(path: Path | str) -> list[tuple[ChatRequest, ChatResponse]]:
-    """Load a recorded trace; raises at startup if the file is absent."""
-    return _read_jsonl(
-        Path(path).read_text(encoding="utf-8"),
-        "trace",
-        lambda data: (_request_from_dict(data["request"]), _response_from_dict(data["response"])),
-    )
-
-
-class ReplayBackend(ChatBackend):
-    """Serves a recorded trace with zero network; any drift is an error.
-
-    Each incoming request must match the recorded one byte-for-byte in
-    canonical form, and the trace is loaded (and therefore validated) at
-    construction, not on first call.
-    """
-
-    def __init__(self, path: Path | str):
-        super().__init__()
-        self._entries = read_record_trace(path)
-        self._cursor = 0
-        self.model = self._entries[0][0].model if self._entries else "replay"
-
-    def _complete(self, request: ChatRequest) -> ChatResponse:
-        if self._cursor >= len(self._entries):
-            raise ReplayMismatch(0, f"trace exhausted: no recorded response for call {self._cursor + 1}")
-        expected_request, response = self._entries[self._cursor]
-        got = canonical_request(request).encode("utf-8")
-        want = canonical_request(expected_request).encode("utf-8")
-        if got != want:
-            offset = _first_divergence(want, got)
-            raise ReplayMismatch(
-                offset,
-                f"request {self._cursor + 1} diverged from the recording at byte {offset}: "
-                f"recorded ...{_excerpt(want, offset)}... got ...{_excerpt(got, offset)}...",
-            )
-        self._cursor += 1
         return response
 
 

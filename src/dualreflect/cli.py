@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``run`` (one task bundle), ``eval`` (a suite), ``replay``
-(re-drive a task from a recorded backend trace), and ``validate`` (schema
-check a task or suite). Exit codes: 0 on success, 1 when any run aborts /
+(re-drive a task from a ``run --record`` capture, served as a script whose
+steps check their recorded requests), and ``validate`` (schema check a task
+or suite). Exit codes: 0 on success, 1 when any run aborts /
 validation fails / a replay diverges, 2 on usage errors, which include an
 unreadable or invalid run configuration.
 
@@ -20,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
-from .backend import ChatBackend, HttpBackend, RecordingBackend, ReplayBackend
+from .backend import ChatBackend, HttpBackend, RecordingBackend, ScriptedBackend, script_from_jsonl
 from .harness import SuiteError, check_success, evaluate, load_bundle, load_suite, report
 from .model import RunConfig, task_from_json, validate_task
 from .orchestrator import RunResult, RunStatus, run_task
@@ -67,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_backend_flags(p_eval)
     add_config_flags(p_eval)
 
-    p_replay = sub.add_parser("replay", help="re-drive a task from a recorded backend trace")
+    p_replay = sub.add_parser("replay", help="re-drive a task from a run --record capture")
     p_replay.add_argument("--task", type=Path, required=True)
-    p_replay.add_argument("--trace", type=Path, required=True, help="recorded backend trace (JSONL)")
+    p_replay.add_argument("--trace", type=Path, required=True, help="run --record capture (JSONL)")
     p_replay.add_argument("--trace-out", type=Path)
     add_config_flags(p_replay)
 
@@ -118,7 +119,11 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
     bundle = load_bundle(args.task)
     with ExitStack() as stack:
         if args.command == "replay":
-            backend: ChatBackend = ReplayBackend(args.trace)
+            try:
+                steps = script_from_jsonl(args.trace.read_text(encoding="utf-8"))
+            except ValueError as exc:
+                raise ValueError(f"{args.trace}: {exc}") from None
+            backend: ChatBackend = ScriptedBackend(steps)
         elif args.backend == "http":
             backend = stack.enter_context(closing(HttpBackend(model=args.model)))
         else:

@@ -426,6 +426,14 @@ BROKEN_BUNDLES = {
     "task-nested-too-deep": ("task.json", lambda text: "[" * 100000, "not valid JSON"),
     "script-line-missing-field": ("script.jsonl", lambda text: '{"text": "x"}\n' + text, "bad script line 1"),
     "script-line-nested-too-deep": ("script.jsonl", lambda text: text + "[" * 100000 + "\n", "bad script line 2"),
+    **{
+        f"script-line-{name}-count": (
+            "script.jsonl",
+            lambda text, raw=raw: text + f'{{"text": "x", "prompt_tokens": {raw}, "completion_tokens": 1}}\n',
+            "bad script line 2: token counts must be non-negative integers",
+        )
+        for name, raw in [("infinite", "Infinity"), ("overflowing", "1e400"), ("boolean", "true")]
+    },
 }
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from dualreflect.agents import gate, prompt_hash
-from dualreflect.backend import RecordingBackend, ReplayBackend, HttpBackend, ScriptedBackend
+from dualreflect.backend import RecordingBackend, HttpBackend, ScriptedBackend, script_from_jsonl
 from dualreflect.harness import check_success, evaluate
 from dualreflect.model import RunConfig, SuccessPredicate, Thresholds
 from dualreflect.orchestrator import events_to_jsonl, fold_event_tokens, run_task
@@ -313,7 +313,8 @@ def test_record_then_replay_through_http_stub(tmp_path):
         recorded = run_task(case_study_task(), case_study_config(), live, case_study_registry())
         network_calls = len(server.requests)
         assert network_calls == 12
-        replayed = run_task(case_study_task(), case_study_config(), ReplayBackend(trace_path), case_study_registry())
+        replay = ScriptedBackend(script_from_jsonl(trace_path.read_text(encoding="utf-8")))
+        replayed = run_task(case_study_task(), case_study_config(), replay, case_study_registry())
         assert len(server.requests) == network_calls  # zero new network traffic
     assert events_to_jsonl(recorded.events) == events_to_jsonl(replayed.events)
     assert recorded.status.value == "accepted"

@@ -23,7 +23,6 @@ from dualreflect.backend import (
     ChatResponse,
     HttpBackend,
     RecordingBackend,
-    ReplayBackend,
     ReplayMismatch,
     ScriptedBackend,
     ScriptStep,
@@ -80,6 +79,11 @@ class TestScripted:
     def test_bad_script_line_raises(self):
         with pytest.raises(ValueError):
             script_from_jsonl('{"text": "x"}')
+
+    @pytest.mark.parametrize("line", ["[]", "5", '"text"', "null"])
+    def test_line_that_is_not_an_object_is_a_bad_line(self, line):
+        with pytest.raises(ValueError, match="^bad script line 2: not a JSON object$"):
+            script_from_jsonl('{"text": "x", "prompt_tokens": 1, "completion_tokens": 1}\n' + line)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -396,6 +400,29 @@ def test_scripted_cli_never_loads_the_http_stack(tmp_path):
     assert (tmp_path / "replay.jsonl").read_bytes() == golden_trace
 
 
+class TestTokenCounts:
+    """A token count is a JSON integer >= 0 in scripts, captures and HTTP replies alike."""
+
+    @pytest.mark.parametrize("field", ["prompt_tokens", "completion_tokens"])
+    @pytest.mark.parametrize(
+        "raw", ["Infinity", "-Infinity", "NaN", "1e400", "1.9", "1.0", "true", "false", '"7"', "null", "[1]", "-1"]
+    )
+    def test_script_line_with_bad_count_is_a_bad_line(self, field, raw):
+        counts = {"prompt_tokens": "3", "completion_tokens": "4", field: raw}
+        line = '{"text": "x", ' + ", ".join(f'"{k}": {v}' for k, v in counts.items()) + "}"
+        with pytest.raises(ValueError, match="^bad script line 1: token counts must be non-negative integers"):
+            script_from_jsonl(line)
+
+    @pytest.mark.parametrize("field", ["prompt_tokens", "completion_tokens"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 1.9, 1.0, True, False, "7", None, -1])
+    def test_http_usage_with_bad_count_is_malformed_payload(self, stub_server, field, value):
+        stub_server.plan = [{"status": 200, "text": "pong", field: value}]
+        with pytest.raises(ApiError, match="malformed completion payload") as err:
+            stub_backend(stub_server).complete(REQ)
+        assert err.value.status == 200
+        assert len(stub_server.requests) == 1
+
+
 class TestRecordReplay:
     def three_calls(self):
         return [
@@ -410,23 +437,45 @@ class TestRecordReplay:
         responses = [recorder.complete(req) for req, _ in calls]
         return calls, responses, tmp_path / "trace.jsonl"
 
+    def replay(self, path):
+        return ScriptedBackend(script_from_jsonl(path.read_text(encoding="utf-8")))
+
+    def test_capture_line_is_a_script_line_with_its_request(self, tmp_path):
+        _, _, path = self.record(tmp_path)
+        first = path.read_text(encoding="utf-8").splitlines()[0]
+        assert json.loads(first) == {
+            "text": "r0",
+            "prompt_tokens": 10,
+            "completion_tokens": 5,
+            "request": {"system": "s", "user": "u0", "model": "scripted", "temperature": 0.0},
+        }
+        assert first == json.dumps(json.loads(first), sort_keys=True, ensure_ascii=False)
+
     def test_record_then_replay_identical_without_source(self, tmp_path):
         calls, recorded_responses, path = self.record(tmp_path)
-        replay = ReplayBackend(path)
+        replay = self.replay(path)
         replayed = [replay.complete(req) for req, _ in calls]
         assert replayed == recorded_responses
 
+    def test_model_comes_from_the_first_recorded_request(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        recorder = RecordingBackend(ScriptedBackend(steps(("r", 1, 1))), path)
+        recorder.complete(ChatRequest(system="s", user="u", model="live-model"))
+        assert self.replay(path).model == "live-model"
+        assert ScriptedBackend(steps(("r", 1, 1))).model == "scripted"
+
     def test_replay_mismatch_on_altered_prompt(self, tmp_path):
         calls, _, path = self.record(tmp_path)
-        replay = ReplayBackend(path)
+        replay = self.replay(path)
         replay.complete(calls[0][0])
         with pytest.raises(ReplayMismatch) as err:
             replay.complete(ChatRequest(system="s", user="tampered", model="scripted"))
         assert err.value.offset >= 0
+        assert str(err.value).startswith(f"request 2 diverged from the recording at byte {err.value.offset}: ")
 
     def test_replay_mismatch_reports_first_divergent_byte(self, tmp_path):
         _, _, path = self.record(tmp_path)
-        replay = ReplayBackend(path)
+        replay = self.replay(path)
         original = canonical_request(ChatRequest(system="s", user="u0", model="scripted"))
         altered = ChatRequest(system="s", user="uX", model="scripted")
         divergence = next(
@@ -438,19 +487,15 @@ class TestRecordReplay:
 
     def test_replay_beyond_trace_is_mismatch(self, tmp_path):
         calls, _, path = self.record(tmp_path)
-        replay = ReplayBackend(path)
+        replay = self.replay(path)
         for req, _ in calls:
             replay.complete(req)
-        with pytest.raises(ReplayMismatch):
+        with pytest.raises(ScriptExhausted, match="^script exhausted after 3 steps$"):
             replay.complete(calls[0][0])
-
-    def test_absent_trace_fails_at_startup(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            ReplayBackend(tmp_path / "missing.jsonl")
 
     def test_totals_equal_fold_over_trace_file(self, tmp_path):
         _, _, path = self.record(tmp_path)
-        replay = ReplayBackend(path)
+        replay = self.replay(path)
         for req, _ in self.three_calls():
             replay.complete(req)
         assert replay.token_totals() == TokenTotals(33, 18, 3)
@@ -466,12 +511,6 @@ class TestTotalsProperty:
         assert totals.prompt_tokens == sum(p for p, _ in counts)
         assert totals.completion_tokens == sum(c for _, c in counts)
         assert totals.calls == len(counts)
-
-    def test_reset_totals(self):
-        backend = ScriptedBackend(steps(("a", 5, 5)))
-        backend.complete(REQ)
-        backend.reset_totals()
-        assert backend.token_totals() == TokenTotals()
 
 
 def test_only_backend_module_touches_the_network():

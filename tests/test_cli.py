@@ -1,6 +1,8 @@
 """Command-line contract: subcommands, exit codes, config precedence."""
 
+import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -142,8 +144,57 @@ class TestEval:
         out = capsys.readouterr().out
         assert code == 0 and "pass rate: 100.0%" in out
 
+    def test_tampered_capture_aborts_its_cell(self, tmp_path, capsys):
+        suite = tmp_path / "demo"
+        shutil.copytree(DEMO_SUITE, suite)
+        script = suite / "flaky-lookup" / "script.jsonl"
+        lines = script.read_text(encoding="utf-8").splitlines()
+        entry = json.loads(lines[1])
+        entry["request"]["user"] = entry["request"]["user"].replace("lookup", "lookout", 1)
+        lines[1] = json.dumps(entry, sort_keys=True, ensure_ascii=False)
+        script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["eval", "--suite", str(suite), "--report-dir", str(tmp_path / "report")]) == 1
+        capsys.readouterr()
+        with (tmp_path / "report" / "runs.csv").open(encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["task_id"], row["status"]) for row in rows] == [
+            ("city-day-trip", "accepted"),
+            ("flaky-lookup", "aborted"),
+        ]
+        assert rows[0]["error"] == ""
+        assert rows[1]["error"].startswith("request 2 diverged from the recording at byte ")
+        assert "recorded ..." in rows[1]["error"] and "... got ..." in rows[1]["error"]
+
 
 class TestReplay:
+    @pytest.mark.parametrize("task", ["city-day-trip", "flaky-lookup"])
+    def test_demo_script_is_its_own_capture(self, tmp_path, capsys, task):
+        script = DEMO_SUITE / task / "script.jsonl"
+        capture, trace = tmp_path / "capture.jsonl", tmp_path / "trace.jsonl"
+        assert main(["run", "--task", str(DEMO_SUITE / task), "--record", str(capture)]) == 0
+        assert capture.read_bytes() == script.read_bytes()
+        assert main(["replay", "--task", str(DEMO_SUITE / task), "--trace", str(script), "--trace-out", str(trace)]) == 0
+        assert trace.read_bytes() == (GOLDEN / f"{task}.trace.jsonl").read_bytes()
+        capsys.readouterr()
+
+    def test_missing_trace_exits_one_before_any_run(self, tmp_path, capsys):
+        trace_out = tmp_path / "out" / "trace.jsonl"
+        argv = ["replay", "--task", str(DEMO_SUITE / "flaky-lookup"), "--trace", str(tmp_path / "missing.jsonl"),
+                "--trace-out", str(trace_out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "missing.jsonl" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_old_format_capture_is_a_bad_script_line(self, tmp_path, capsys):
+        trace = tmp_path / "old.jsonl"
+        request = {"model": "scripted", "system": "s", "temperature": 0.0, "user": "u"}
+        response = {"completion_tokens": 5, "prompt_tokens": 10, "text": "r"}
+        trace.write_text(json.dumps({"request": request, "response": response}) + "\n", encoding="utf-8")
+        assert main(["replay", "--task", str(DEMO_SUITE / "flaky-lookup"), "--trace", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {trace}: bad script line 1: 'text'\n"
+
     def test_record_then_replay_exits_zero(self, tmp_path, capsys):
         bundle = tmp_path / "case"
         write_case_bundle(bundle)

@@ -383,18 +383,18 @@ JSON_VALUES = st.one_of(
     st.dictionaries(st.sampled_from(["name", "kind", "q", "x"]), st.integers(), max_size=2),
 )
 
+# Edge values for fields that must be JSON integers, such as token counts.
+NON_INTEGERS = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.9, 1.0, True, False, "7"])
+
 COMPLETION_EDITS = st.text(max_size=6) | st.sampled_from(['"', "{", "}", "[", "]", ",", "null", "-1", "11", "1e999"])
 
 
 class TestBoundaryProperties:
     """Outside input ends as a typed value or a documented failure."""
 
-    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_single_leaf_mutation_loads_or_is_a_suite_error(self, tmp_path, data):
-        bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
-        name = data.draw(st.sampled_from([harness.TASK_FILE, harness.SANDBOX_FILE]))
-        doc = json.loads((bundle.root / name).read_text(encoding="utf-8"))
+    @staticmethod
+    def mutate_one_leaf(data, doc, values=JSON_VALUES):
+        """Replace one leaf of ``doc`` with a drawn value, or delete it."""
         *parents, key = data.draw(st.sampled_from(list(leaf_paths(doc))))
         parent = doc
         for part in parents:
@@ -402,21 +402,47 @@ class TestBoundaryProperties:
         if data.draw(st.booleans()):
             del parent[key]
         else:
-            parent[key] = data.draw(JSON_VALUES)
+            parent[key] = data.draw(values)
+
+    @staticmethod
+    def load_mutant(tmp_path, bundle, name, text):
         root = tmp_path / "mutant"
         shutil.rmtree(root, ignore_errors=True)
         shutil.copytree(bundle.root, root)
-        (root / name).write_text(json.dumps(doc), encoding="utf-8")
+        (root / name).write_text(text, encoding="utf-8")
         try:
             load_bundle(root)
         except SuiteError:
             pass
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_single_leaf_mutation_loads_or_is_a_suite_error(self, tmp_path, data):
+        bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
+        name = data.draw(st.sampled_from([harness.TASK_FILE, harness.SANDBOX_FILE]))
+        doc = json.loads((bundle.root / name).read_text(encoding="utf-8"))
+        self.mutate_one_leaf(data, doc)
+        self.load_mutant(tmp_path, bundle, name, json.dumps(doc))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_script_line_leaf_mutation_loads_or_is_a_suite_error(self, tmp_path, data):
+        # Demo scripts are captures, so a line's leaves include its request's.
+        bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
+        lines = (bundle.root / harness.SCRIPT_FILE).read_text(encoding="utf-8").splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        doc = json.loads(lines[i])
+        self.mutate_one_leaf(data, doc, data.draw(st.sampled_from([NON_INTEGERS, JSON_VALUES])))
+        lines[i] = json.dumps(doc)
+        self.load_mutant(tmp_path, bundle, harness.SCRIPT_FILE, "\n".join(lines) + "\n")
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_mutated_completion_ends_with_one_run_end(self, data):
         bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
-        steps = list(bundle.script)
+        # Without their recorded requests the steps serve whatever the mutant
+        # asks next, so the run goes on past the mutated reply.
+        steps = [replace(s, request=None) for s in bundle.script]
         i = data.draw(st.integers(0, len(steps) - 1))
         text = steps[i].response.text
         start = data.draw(st.integers(0, len(text)))

@@ -3,7 +3,7 @@ abort paths, determinism, and randomized control-flow properties."""
 
 import pytest
 
-from dualreflect.backend import RecordingBackend, ReplayBackend, ScriptedBackend
+from dualreflect.backend import RecordingBackend, ScriptedBackend, script_from_jsonl
 from dualreflect.model import RunConfig, Thresholds
 from dualreflect.orchestrator import RunStatus, TaskRun, events_to_jsonl, fold_event_tokens, run_task
 from scenarios import (
@@ -225,7 +225,8 @@ class TestDeterminismAndReplay:
         recorded = run_task(
             task, case_study_config(), RecordingBackend(ScriptedBackend(case_study_steps()), trace_path), registry
         )
-        replayed = run_task(task, case_study_config(), ReplayBackend(trace_path), registry)
+        replay = ScriptedBackend(script_from_jsonl(trace_path.read_text(encoding="utf-8")))
+        replayed = run_task(task, case_study_config(), replay, registry)
         assert events_to_jsonl(recorded.events) == events_to_jsonl(replayed.events)
 
     def test_tokens_fold_matches_backend_totals(self):
