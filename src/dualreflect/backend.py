@@ -24,6 +24,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 from urllib.parse import SplitResult, unquote, urlsplit
 
+from .model import _text
+
 if TYPE_CHECKING:
     import http.client
     import socket
@@ -101,8 +103,7 @@ class ChatResponse:
     completion_tokens: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.text, str):
-            raise TypeError(f"completion text must be a string, got {type(self.text).__name__}")
+        _text(self.text, "completion text")
         for count in (self.prompt_tokens, self.completion_tokens):
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise ValueError(f"token counts must be non-negative integers, got {count!r}")
@@ -116,10 +117,12 @@ class TokenTotals:
 
 
 def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
-    request = ChatRequest(data["system"], data["user"], data.get("model", "scripted"), data.get("temperature", 0.0))
-    if not all(isinstance(value, str) for value in (request.system, request.user, request.model)):
-        raise TypeError("request system, user and model must be strings")
-    return request
+    return ChatRequest(
+        _text(data["system"], "request system"),
+        _text(data["user"], "request user"),
+        _text(data.get("model", "scripted"), "request model"),
+        data.get("temperature", 0.0),
+    )
 
 
 def canonical_request(request: ChatRequest) -> str:
@@ -157,12 +160,11 @@ class ChatBackend:
 
 @dataclass(frozen=True)
 class ScriptStep:
-    """One pre-authored completion; the hint documents what it answers. A
-    step with a ``request`` (every step of a capture has one) answers only a
-    request equal to it, or identical to it in canonical form."""
+    """One pre-authored completion. A step with a ``request`` (every step of a
+    capture has one) answers only a request equal to it, or identical to it in
+    canonical form."""
 
     response: ChatResponse
-    hint: str = ""
     request: ChatRequest | None = None
 
 
@@ -209,8 +211,8 @@ class ScriptedBackend(ChatBackend):
 
 def script_from_jsonl(text: str) -> list[ScriptStep]:
     """Parse a script or a capture: one JSON object per non-blank line with
-    the completion ``text``, its integer token counts, an optional ``hint``
-    and an optional ``request``. Errors name the line."""
+    the completion ``text``, its integer token counts and an optional
+    ``request``; other keys are ignored. Errors name the line."""
     steps = []
     for i, line in enumerate(text.splitlines()):
         if not line.strip():
@@ -221,7 +223,7 @@ def script_from_jsonl(text: str) -> list[ScriptStep]:
                 raise TypeError("not a JSON object")
             request = _request_from_dict(data["request"]) if "request" in data else None
             response = ChatResponse(data["text"], data["prompt_tokens"], data["completion_tokens"])
-            steps.append(ScriptStep(response, data.get("hint", ""), request))
+            steps.append(ScriptStep(response, request))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"bad script line {i + 1}: {exc}") from None
     return steps

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .backend import ChatBackend, HttpBackend, RecordingBackend, ScriptedBackend, script_from_jsonl
 from .harness import SuiteError, check_success, evaluate, load_bundle, load_suite, report
-from .model import RunConfig, task_from_json, validate_task
+from .model import RunConfig, task_from_json
 from .orchestrator import RunResult, RunStatus, run_task
 
 __all__ = ["main", "build_parser", "resolve_config"]
@@ -150,26 +150,15 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    problems: list[str] = []
-    if args.task is not None:
-        task_file = Path(args.task) / "task.json" if Path(args.task).is_dir() else Path(args.task)
-        try:
-            task = task_from_json(task_file.read_text(encoding="utf-8"))
-            problems = [f"{task_file}: {v}" for v in validate_task(task).violations]
-            if not problems and Path(args.task).is_dir():
-                load_bundle(args.task)
-        except (OSError, ValueError, SuiteError) as exc:
-            problems = [str(exc)]
+    if args.suite is not None:
+        print(f"suite ok: {len(load_suite(args.suite, require_scripts=False))} task(s)")
+    elif args.task.is_dir():
+        load_bundle(args.task)
     else:
         try:
-            bundles = load_suite(args.suite, require_scripts=False)
-            print(f"suite ok: {len(bundles)} task(s)")
-        except SuiteError as exc:
-            problems = [str(exc)]
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
+            task_from_json(args.task.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{args.task}: {exc}") from None
     print("valid")
     return 0
 

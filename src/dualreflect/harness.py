@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .backend import ChatBackend, ScriptedBackend, ScriptStep, script_from_jsonl
-from .model import PredicateKind, RunConfig, TaskSpec, task_from_json, validate_task
+from .model import PredicateKind, RunConfig, TaskSpec, task_from_json
 from .orchestrator import RunResult, RunStatus, run_task
 from .sandbox import SandboxRegistry, load_registry
 
@@ -79,9 +79,6 @@ def load_bundle(path: Path | str) -> TaskBundle:
         task = task_from_json(task_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise SuiteError(f"{task_path}: {exc}") from None
-    report_ = validate_task(task)
-    if not report_.ok:
-        raise SuiteError(f"{task_path}: " + "; ".join(report_.violations))
     try:
         registry = load_registry(sandbox_path)
     except ValueError as exc:

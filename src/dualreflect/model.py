@@ -1,10 +1,8 @@
 """Domain types shared by every part of the workflow engine.
 
 Value objects are frozen dataclasses: construct once, share freely across
-concurrent task runs. Field-level invariants that must never be violated
-(score range, status transitions) are enforced at construction; aggregate
-checks that should produce a report rather than an exception live in
-:func:`validate_task`.
+concurrent task runs. Invariants that must never be violated (score range,
+status transitions, a runnable task) are enforced at construction.
 """
 
 from __future__ import annotations
@@ -35,10 +33,8 @@ __all__ = [
     "FinalAnswer",
     "Thresholds",
     "RunConfig",
-    "ValidationReport",
     "clamp_score",
     "node_transition",
-    "validate_task",
     "task_to_dict",
     "task_from_dict",
     "task_to_json",
@@ -148,15 +144,19 @@ class SuccessPredicate:
 class TaskSpec:
     """A task: description, candidate tool library, and how to score the run.
 
-    Construction is deliberately lenient so that malformed specs can still be
-    loaded and inspected; :func:`validate_task` reports every violation
-    instead of raising on the first one.
+    A task is runnable by construction: every violated invariant is reported
+    in one :class:`ValueError`, joined by ``"; "``.
     """
 
     id: str
     description: str
     tools: tuple[ToolSpec, ...]
     success_check: SuccessPredicate
+
+    def __post_init__(self) -> None:
+        problems = _task_problems(self)
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -312,19 +312,7 @@ def _known_keys(cls: type, data: Any, what: str) -> dict[str, Any]:
     return data
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Accumulated invariant violations; empty means the task is runnable."""
-
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_task(task: TaskSpec) -> ValidationReport:
-    """Check every TaskSpec invariant and report all violations at once."""
+def _task_problems(task: TaskSpec) -> list[str]:
     problems: list[str] = []
     if not task.id:
         problems.append("id: must be non-empty")
@@ -355,7 +343,7 @@ def validate_task(task: TaskSpec) -> ValidationReport:
                 problems.append(f"{pwhere}: enum parameter must list allowed values")
 
     problems.extend(_check_predicate(task))
-    return ValidationReport(tuple(problems))
+    return problems
 
 
 def _check_predicate(task: TaskSpec) -> list[str]:
@@ -387,6 +375,20 @@ def _check_predicate(task: TaskSpec) -> list[str]:
 #
 # One JSON document per task. Serialization is canonical (fixed key order,
 # two-space indent) so serialize -> parse -> serialize is byte-identical.
+# Parsing is strict: a field of the wrong JSON type is an error, not coerced.
+
+
+def _text(value: Any, what: str) -> str:
+    """``value`` if it is a string that encodes as UTF-8 (JSON can carry a lone
+    surrogate, which cannot be written or sent); else a :class:`ValueError`
+    naming ``what``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {type(value).__name__}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} holds a lone surrogate, which is not UTF-8 text") from None
+    return value
 
 
 def tool_to_dict(tool: ToolSpec) -> dict[str, Any]:
@@ -408,34 +410,39 @@ def tool_from_dict(data: Any) -> ToolSpec:
     if not isinstance(data, dict):
         raise ValueError("tool entry must be an object")
     try:
-        name = data["name"]
-        description = data["description"]
-        raw_params = data.get("parameters", [])
+        name = _text(data["name"], "tool name")
+        description = _text(data["description"], f"tool {name!r} description")
     except KeyError as exc:
         raise ValueError(f"tool entry missing field {exc.args[0]!r}") from None
+    raw_params = data.get("parameters", [])
     if not isinstance(raw_params, list):
         raise ValueError("tool parameters must be an array")
     params = []
     for raw in raw_params:
         if not isinstance(raw, dict):
             raise ValueError("parameter entry must be an object")
+        param_name = _text(raw.get("name", ""), "parameter name")
+        where = f"parameter {param_name!r}"
         try:
             kind = ParamKind(raw["kind"])
         except (KeyError, ValueError):
-            raise ValueError(f"parameter {raw.get('name')!r} has a missing or unknown kind") from None
+            raise ValueError(f"{where} has a missing or unknown kind") from None
         values = raw.get("values", [])
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise ValueError(f"parameter {raw.get('name')!r} values must be an array of strings")
+        if not isinstance(values, list):
+            raise ValueError(f"{where} values must be an array of strings")
+        required = raw.get("required", False)
+        if not isinstance(required, bool):
+            raise ValueError(f"{where} required must be a boolean, got {type(required).__name__}")
         params.append(
             ParamSpec(
-                name=str(raw.get("name", "")),
+                name=param_name,
                 kind=kind,
-                required=bool(raw.get("required", False)),
-                description=str(raw.get("description", "")),
-                values=tuple(values),
+                required=required,
+                description=_text(raw.get("description", ""), f"{where} description"),
+                values=tuple(_text(v, f"{where} values entry") for v in values),
             )
         )
-    return ToolSpec(name=str(name), description=str(description), parameters=tuple(params))
+    return ToolSpec(name=name, description=description, parameters=tuple(params))
 
 
 def _predicate_to_dict(pred: SuccessPredicate) -> dict[str, Any]:
@@ -466,12 +473,15 @@ def _predicate_from_dict(data: Any) -> SuccessPredicate:
         for raw in payload:
             if not isinstance(raw, dict) or "function" not in raw:
                 raise ValueError("expected call entries must be objects with a 'function' field")
-            calls.append(ExpectedCall(function=str(raw["function"]), parameters=raw.get("parameters")))
+            parameters = raw.get("parameters")
+            if parameters is not None and not isinstance(parameters, dict):
+                raise ValueError("expected call parameters must be an object")
+            calls.append(ExpectedCall(_text(raw["function"], "expected call function"), parameters))
         return SuccessPredicate(kind, tuple(calls))
     if kind is PredicateKind.ANSWER_CONTAINS:
         if not isinstance(payload, list):
             raise ValueError("answer_contains payload must be an array of strings")
-        return SuccessPredicate(kind, tuple(str(s) for s in payload))
+        return SuccessPredicate(kind, tuple(_text(s, "answer_contains entry") for s in payload))
     return SuccessPredicate(kind, None)
 
 
@@ -493,8 +503,8 @@ def task_from_dict(data: Any) -> TaskSpec:
     if not isinstance(data["tools"], list):
         raise ValueError("task tools must be an array")
     return TaskSpec(
-        id=str(data["id"]),
-        description=str(data["description"]),
+        id=_text(data["id"], "task id"),
+        description=_text(data["description"], "task description"),
         tools=tuple(tool_from_dict(t) for t in data["tools"]),
         success_check=_predicate_from_dict(data["success_check"]),
     )

@@ -28,7 +28,6 @@ from .model import (
     TaskSpec,
     TrajectoryStep,
     node_transition,
-    validate_task,
 )
 from .promptkit import describe_result
 from .sandbox import SandboxRegistry
@@ -131,9 +130,6 @@ class TaskRun:
         backend: ChatBackend,
         registry: SandboxRegistry,
     ):
-        report = validate_task(task)
-        if not report.ok:
-            raise ValueError("task failed validation: " + "; ".join(report.violations))
         self.config = config
         self.trace = TraceRecorder(task.id)
         self.session = registry.session()

@@ -24,6 +24,7 @@ from .model import (
     ParamSpec,
     ToolCall,
     ToolSpec,
+    _text,
     tool_from_dict,
     tool_to_dict,
 )
@@ -159,7 +160,7 @@ def _result_from_dict(data: Any, path: str) -> ExecutionResult:
     except ValueError:
         raise ValueError(f"{path}.status: unknown status {data['status']!r}") from None
     try:
-        return ExecutionResult(status, str(data["payload"]))
+        return ExecutionResult(status, _text(data["payload"], "payload"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -56,8 +56,8 @@ def answer_json(text: str, score: int | float, evaluation: str = "answer covers 
     return json.dumps({"answer": text, "intra_reflection": {"evaluation": evaluation, "score": score}})
 
 
-def step(text: str, prompt_tokens: int = 100, completion_tokens: int = 25, hint: str = "") -> ScriptStep:
-    return ScriptStep(response=ChatResponse(text, prompt_tokens, completion_tokens), hint=hint)
+def step(text: str, prompt_tokens: int = 100, completion_tokens: int = 25) -> ScriptStep:
+    return ScriptStep(response=ChatResponse(text, prompt_tokens, completion_tokens))
 
 
 def make_backend(steps: list[ScriptStep]) -> ScriptedBackend:
@@ -147,18 +147,18 @@ def build_random_scenario(seed: int) -> Scenario:
     task = make_task(tool_names, task_id=f"rand-{seed}")
     registry = make_registry(tool_names, fail_first)
 
-    texts: list[tuple[str, str]] = []  # (text, hint)
+    texts: list[str] = []
     declared: dict[str, list[int]] = {"planner": [], "tool": [], "answer": []}
     counters = {name: 0 for name in tool_names}
 
-    def emit(agent: str, text: str, score: int | None, hint: str) -> None:
-        texts.append((text, hint))
+    def emit(agent: str, text: str, score: int | None) -> None:
+        texts.append(text)
         if score is not None:
             declared[agent].append(score)
 
-    def maybe_garbage(hint: str) -> None:
+    def maybe_garbage() -> None:
         if rng.random() < 0.10:
-            texts.append((GARBAGE, f"{hint} (garbage)"))
+            texts.append(GARBAGE)
 
     status = "exhausted"
     failed_rounds = 0
@@ -181,9 +181,8 @@ def build_random_scenario(seed: int) -> Scenario:
         else:
             plan_scores = [rng.randint(9, 10)]
         for attempt, score in enumerate(plan_scores, 1):
-            maybe_garbage(f"planner r{round_index} a{attempt}")
-            emit("planner", planner_json(nodes, score, f"plan r{round_index} attempt {attempt}"), score,
-                 f"planner r{round_index} a{attempt}")
+            maybe_garbage()
+            emit("planner", planner_json(nodes, score, f"plan r{round_index} attempt {attempt}"), score)
 
         round_dead = False
         for node_id, subtask, bound_function in nodes:
@@ -201,9 +200,9 @@ def build_random_scenario(seed: int) -> Scenario:
                 else:
                     tool_scores = [rng.randint(8, 10)]
                 for rev, score in enumerate(tool_scores, 1):
-                    maybe_garbage(f"tool {node_id} a{attempt} rev{rev}")
+                    maybe_garbage()
                     emit("tool", tool_json(called, params, score, f"pick for {node_id} attempt {attempt} rev {rev}"),
-                         score, f"tool {node_id} a{attempt} rev{rev}")
+                         score)
                 counters[called] += 1
                 if counters[called] > fail_first[called]:
                     succeeded = True
@@ -217,9 +216,8 @@ def build_random_scenario(seed: int) -> Scenario:
 
         accept = rng.random() < 0.35
         score = rng.randint(8, 10) if accept else rng.randint(4, 7)
-        maybe_garbage(f"answer r{round_index}")
-        emit("answer", answer_json(f"Round {round_index} summary for seed {seed}.", score), score,
-             f"answer r{round_index}")
+        maybe_garbage()
+        emit("answer", answer_json(f"Round {round_index} summary for seed {seed}.", score), score)
         answers.append((score, round_index))
         if accept:
             status = "accepted"
@@ -235,8 +233,8 @@ def build_random_scenario(seed: int) -> Scenario:
         answer_score = None
 
     steps = [
-        step(text, prompt_tokens=100 + (13 * i) % 97, completion_tokens=10 + (7 * i) % 53, hint=hint)
-        for i, (text, hint) in enumerate(texts)
+        step(text, prompt_tokens=100 + (13 * i) % 97, completion_tokens=10 + (7 * i) % 53)
+        for i, text in enumerate(texts)
     ]
     return Scenario(
         seed=seed,
@@ -316,46 +314,37 @@ def case_study_steps() -> list[ScriptStep]:
         ("r2n4", "Estimate the total cost of the day against the 150 EUR budget.", "estimate_budget"),
     ]
     texts = [
-        (planner_json(round1_nodes, 9, "Plan covers exhibition, weather, and lunch."), "planner r1"),
-        (
-            tool_json("find_exhibition", {"city": "Paris", "query": "next saturday"}, 6,
-                      "The date is vague relative wording instead of the required 2026-09-12."),
-            "tool r1n1 rev1 (flawed params)",
+        planner_json(round1_nodes, 9, "Plan covers exhibition, weather, and lunch."),
+        # Round 1, node 1: flawed parameters, then corrected by the tool gate.
+        tool_json("find_exhibition", {"city": "Paris", "query": "next saturday"}, 6,
+                  "The date is vague relative wording instead of the required 2026-09-12."),
+        tool_json("find_exhibition", {"city": "Paris", "query": "exhibitions on 2026-09-12"}, 9,
+                  "Query now pins the exact date from the task."),
+        tool_json("check_weather", {"city": "Paris", "query": "2026-09-12"}, 8),
+        tool_json("book_table", {"city": "Paris", "query": "lunch 12:30"}, 9),
+        # Round 1 answer: rejected.
+        answer_json(
+            "Visit the Impressionist masters exhibition at Musee d'Orsay, expect sunny weather, "
+            "and have lunch at Le Jardin at 12:30.",
+            7,
+            "The task asked for a budget estimate and the answer has none.",
         ),
-        (
-            tool_json("find_exhibition", {"city": "Paris", "query": "exhibitions on 2026-09-12"}, 9,
-                      "Query now pins the exact date from the task."),
-            "tool r1n1 rev2 (corrected)",
-        ),
-        (tool_json("check_weather", {"city": "Paris", "query": "2026-09-12"}, 8), "tool r1n2"),
-        (tool_json("book_table", {"city": "Paris", "query": "lunch 12:30"}, 9), "tool r1n3"),
-        (
-            answer_json(
-                "Visit the Impressionist masters exhibition at Musee d'Orsay, expect sunny weather, "
-                "and have lunch at Le Jardin at 12:30.",
-                7,
-                "The task asked for a budget estimate and the answer has none.",
-            ),
-            "answer r1 (rejected)",
-        ),
-        (planner_json(round2_nodes, 9, "Added the missing budget-estimation subtask."), "planner r2"),
-        (tool_json("find_exhibition", {"city": "Paris", "query": "exhibitions on 2026-09-12"}, 9), "tool r2n1"),
-        (tool_json("check_weather", {"city": "Paris", "query": "2026-09-12"}, 8), "tool r2n2"),
-        (tool_json("book_table", {"city": "Paris", "query": "lunch 12:30"}, 9), "tool r2n3"),
-        (tool_json("estimate_budget", {"city": "Paris", "query": "tickets+lunch+transit"}, 9), "tool r2n4"),
-        (
-            answer_json(
-                "Spend the day at the Impressionist masters exhibition at Musee d'Orsay (sunny, 22 C), "
-                "lunch at Le Jardin at 12:30, with an estimated total of 128 EUR - inside the 150 EUR budget.",
-                9,
-                "Answer now covers every subtask including the budget.",
-            ),
-            "answer r2 (accepted)",
+        planner_json(round2_nodes, 9, "Added the missing budget-estimation subtask."),
+        tool_json("find_exhibition", {"city": "Paris", "query": "exhibitions on 2026-09-12"}, 9),
+        tool_json("check_weather", {"city": "Paris", "query": "2026-09-12"}, 8),
+        tool_json("book_table", {"city": "Paris", "query": "lunch 12:30"}, 9),
+        tool_json("estimate_budget", {"city": "Paris", "query": "tickets+lunch+transit"}, 9),
+        # Round 2 answer: accepted.
+        answer_json(
+            "Spend the day at the Impressionist masters exhibition at Musee d'Orsay (sunny, 22 C), "
+            "lunch at Le Jardin at 12:30, with an estimated total of 128 EUR - inside the 150 EUR budget.",
+            9,
+            "Answer now covers every subtask including the budget.",
         ),
     ]
     return [
-        step(text, prompt_tokens=200 + 10 * i, completion_tokens=40 + 5 * i, hint=hint)
-        for i, (text, hint) in enumerate(texts)
+        step(text, prompt_tokens=200 + 10 * i, completion_tokens=40 + 5 * i)
+        for i, text in enumerate(texts)
     ]
 
 
@@ -383,7 +372,6 @@ def write_bundle(root, task: TaskSpec, registry: SandboxRegistry, steps: list[Sc
         lines = [
             json.dumps(
                 {
-                    "hint": s.hint,
                     "text": s.response.text,
                     "prompt_tokens": s.response.prompt_tokens,
                     "completion_tokens": s.response.completion_tokens,
@@ -421,6 +409,35 @@ BROKEN_BUNDLES = {
         "task.json",
         _edit_json(lambda d: d["tools"][0]["parameters"][0].update(values=5)),
         "values must be an array of strings",
+    ),
+    # Fields are typed, not coerced; a lone surrogate is not text.
+    "task-id-not-string": ("task.json", _edit_json(lambda d: d.update(id=7)), "task id must be a string, got int"),
+    "task-required-not-boolean": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0]["parameters"][0].update(required="false")),
+        "parameter 'q' required must be a boolean, got str",
+    ),
+    "task-description-lone-surrogate": (
+        "task.json",
+        _edit_json(lambda d: d.update(description="\ud800")),
+        "task description holds a lone surrogate",
+    ),
+    "sandbox-payload-not-string": (
+        "sandbox.json",
+        _edit_json(lambda d: d["tools"][0]["default"].update(payload=5)),
+        "sandbox.json: tools[0].default: payload must be a string, got int",
+    ),
+    "script-text-lone-surrogate": (
+        "script.jsonl",
+        lambda text: text + '{"text": "\\ud800", "prompt_tokens": 1, "completion_tokens": 1}\n',
+        "bad script line 2: completion text holds a lone surrogate",
+    ),
+    "script-request-lone-surrogate": (
+        "script.jsonl",
+        lambda text: text + json.dumps(
+            {"text": "x", "prompt_tokens": 1, "completion_tokens": 1, "request": {"system": "s", "user": "\ud800"}}
+        ) + "\n",
+        "bad script line 2: request user holds a lone surrogate",
     ),
     "sandbox-nested-too-deep": ("sandbox.json", lambda text: "[" * 100000, "not valid JSON"),
     "task-nested-too-deep": ("task.json", lambda text: "[" * 100000, "not valid JSON"),

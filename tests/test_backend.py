@@ -220,7 +220,8 @@ class TestHttp:
         assert str(err.value) == "HTTP 404: " + "é" * 500
         assert len(stub_server.requests) == 1
 
-    @pytest.mark.parametrize("content", [None, 3, ["pong"]])
+    # The last reply holds a lone surrogate: JSON can carry one, UTF-8 cannot.
+    @pytest.mark.parametrize("content", [None, 3, ["pong"], "pong \ud800"])
     def test_non_string_content_is_malformed_payload(self, stub_server, content):
         stub_server.plan = [{"status": 200, "text": content}]
         with pytest.raises(ApiError, match="malformed completion payload") as err:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dualreflect.cli import main, resolve_config
+from dualreflect.model import task_to_dict
 from scenarios import (
     BROKEN_BUNDLES,
     case_study_registry,
@@ -227,13 +228,15 @@ class TestValidate:
         assert "valid" in capsys.readouterr().out
 
     def test_invalid_task_file(self, tmp_path, capsys):
-        bad = make_task(["alpha", "alpha"], task_id="dup")
-        from dualreflect.model import task_to_json
-
+        doc = task_to_dict(make_task(["alpha"]))
+        doc["id"] = ""
+        doc["tools"] *= 2
         path = tmp_path / "task.json"
-        path.write_text(task_to_json(bad), encoding="utf-8")
+        path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["validate", "--task", str(path)]) == 1
-        assert "duplicate tool name" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: id: must be non-empty; tools[1].name: duplicate tool name 'alpha'\n"
+        )
 
     def test_validate_suite(self, capsys):
         assert main(["validate", "--suite", str(DEMO_SUITE)]) == 0

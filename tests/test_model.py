@@ -23,9 +23,10 @@ from dualreflect.model import (
     ToolSpec,
     clamp_score,
     node_transition,
+    task_from_dict,
     task_from_json,
+    task_to_dict,
     task_to_json,
-    validate_task,
 )
 
 
@@ -47,36 +48,43 @@ def two_tool_task(**overrides):
     return TaskSpec(**fields)
 
 
+def violations(**overrides):
+    """The violations a task with these fields is rejected for, in order."""
+    with pytest.raises(ValueError) as info:
+        two_tool_task(**overrides)
+    return str(info.value).split("; ")
+
+
 class TestValidateTask:
+    """A TaskSpec checks itself when it is built and names every violation."""
+
     def test_well_formed_task_has_empty_report(self):
-        report = validate_task(two_tool_task())
-        assert report.ok and report.violations == ()
+        assert two_tool_task().id == "t1"
 
     def test_duplicate_tool_names_reported_once(self):
-        task = two_tool_task(tools=(ToolSpec("alpha", "a"), ToolSpec("alpha", "b")))
-        report = validate_task(task)
-        assert len(report.violations) == 1
-        assert "duplicate tool name" in report.violations[0]
+        assert violations(tools=(ToolSpec("alpha", "a"), ToolSpec("alpha", "b"))) == [
+            "tools[1].name: duplicate tool name 'alpha'"
+        ]
 
     def test_zero_tools_reported_once(self):
-        report = validate_task(two_tool_task(tools=()))
-        assert len(report.violations) == 1
-        assert "at least one tool" in report.violations[0]
+        assert violations(tools=()) == ["tools: must declare at least one tool"]
 
     def test_reports_every_violation_at_once(self):
-        task = two_tool_task(id="", description="", tools=(ToolSpec("", "x"),))
-        report = validate_task(task)
-        assert len(report.violations) == 3
+        assert violations(id="", description="", tools=(ToolSpec("", "x"),)) == [
+            "id: must be non-empty",
+            "description: must be non-empty",
+            "tools[0].name: must be non-empty",
+        ]
 
     def test_enum_param_without_values(self):
-        task = two_tool_task(tools=(ToolSpec("a", "d", (ParamSpec("m", ParamKind.ENUM, True),)),))
-        assert any("allowed values" in v for v in validate_task(task).violations)
+        tools = (ToolSpec("a", "d", (ParamSpec("m", ParamKind.ENUM, True),)),)
+        assert violations(tools=tools) == ["tools[0].parameters[0]: enum parameter must list allowed values"]
 
     def test_expected_calls_must_reference_declared_tools(self):
-        task = two_tool_task(
-            success_check=SuccessPredicate.expected_calls([ExpectedCall("gamma")]),
-        )
-        assert any("not in the tool library" in v for v in validate_task(task).violations)
+        predicate = SuccessPredicate.expected_calls([ExpectedCall("gamma")])
+        assert violations(success_check=predicate) == [
+            "success_check.payload[0]: function 'gamma' is not in the tool library"
+        ]
 
 
 class TestNodeTransition:
@@ -198,3 +206,27 @@ class TestTaskJson:
     def test_malformed_documents_raise(self, text):
         with pytest.raises(ValueError):
             task_from_json(text)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["tools"][0].update(name=7), "tool name must be a string, got int"),
+            (lambda d: d["tools"][0].update(description=None), "tool 'alpha' description must be a string"),
+            (lambda d: d["tools"][0]["parameters"][0].update(name=1), "parameter name must be a string"),
+            (lambda d: d["tools"][0]["parameters"][0].update(description=[]), "parameter 'q' description must"),
+            (lambda d: d["tools"][0]["parameters"][1].update(values=["fast", 1]), "'mode' values entry must"),
+            (lambda d: d["success_check"]["payload"][0].update(function=1), "expected call function must"),
+            (lambda d: d["success_check"]["payload"][0].update(parameters=[]), "parameters must be an object"),
+            (lambda d: d["success_check"].update(kind="answer_contains", payload=[1]), "answer_contains entry"),
+        ],
+    )
+    def test_wrong_typed_field_is_named_not_coerced(self, edit, message):
+        params = (ParamSpec("q", ParamKind.STRING, True), ParamSpec("mode", ParamKind.ENUM, True, "", ("fast",)))
+        task = two_tool_task(
+            tools=(ToolSpec("alpha", "a", params),),
+            success_check=SuccessPredicate.expected_calls([ExpectedCall("alpha")]),
+        )
+        doc = task_to_dict(task)
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            task_from_dict(doc)

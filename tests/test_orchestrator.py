@@ -2,10 +2,12 @@
 abort paths, determinism, and randomized control-flow properties."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualreflect.backend import RecordingBackend, ScriptedBackend, script_from_jsonl
 from dualreflect.model import RunConfig, Thresholds
-from dualreflect.orchestrator import RunStatus, TaskRun, events_to_jsonl, fold_event_tokens, run_task
+from dualreflect.orchestrator import RunStatus, events_to_jsonl, fold_event_tokens, run_task
 from scenarios import (
     GARBAGE,
     answer_json,
@@ -205,9 +207,9 @@ class TestAborts:
         assert any(e["kind"] == "execute" for e in result.events)
 
     def test_invalid_task_rejected_up_front(self):
-        bad_task = make_task(["alpha", "alpha"])
-        with pytest.raises(ValueError):
-            TaskRun(bad_task, CFG, make_backend([]), make_registry(["alpha"]))
+        # An invalid task cannot be built, so no run can start with one.
+        with pytest.raises(ValueError, match="duplicate tool name"):
+            make_task(["alpha", "alpha"])
 
 
 class TestDeterminismAndReplay:
@@ -298,6 +300,20 @@ class TestConcurrentRuns:
 
 class TestRandomizedScenarios:
     SEEDS = range(40)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cut_at_call_k_aborts_with_the_uncut_prefix(self, data):
+        scenario = build_random_scenario(data.draw(st.integers(0, 199), label="seed"))
+        uncut = run_task(scenario.task, scenario.config, scenario.backend(), scenario.registry).events
+        calls = [i for i, e in enumerate(uncut) if e["kind"] == "agent_call"]
+        k = data.draw(st.integers(1, len(calls)), label="k")
+        # A script of k - 1 steps raises ScriptExhausted, a BackendError, on call k.
+        cut = run_task(scenario.task, scenario.config, ScriptedBackend(scenario.steps[: k - 1]), scenario.registry)
+        prefix = uncut[: calls[k - 1]]
+        assert cut.status is RunStatus.ABORTED
+        assert cut.events[: len(prefix)] == prefix
+        assert kinds(cut.events[len(prefix):]) == ["stm_reset", "ltm_reset", "run_end"]
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_expectations_and_invariants(self, seed):
