@@ -1,11 +1,11 @@
 """The three reflection-gated agents.
 
 Each invocation renders its prompts, calls the backend, validates the JSON
-reply, and gates its own output on the reflection score. Planner and tool
-agents revise below-threshold output in a bounded loop (re-prompting with
-the rejected attempt as context); the answer agent never revises locally —
-a failed answer gate is the orchestrator's signal to store the round in
-long-term memory and start over.
+reply, and gates its own output on the reflection score, all in one loop.
+Planner and tool agents revise below-threshold output up to the revision cap
+(re-prompting with the rejected attempts as context); the answer agent's
+loop has a single attempt, so a failed answer gate is the orchestrator's
+signal to store the round in long-term memory and start over.
 
 Agents are stateless over their inputs and never touch memory stores;
 memory writes happen only in the orchestrator.
@@ -57,15 +57,14 @@ class ParseExhausted(Exception):
 class GateOutcome(Generic[T]):
     """What came out of a gated invocation.
 
-    ``passed`` is the gate verdict for the accepted value; ``forced`` is True
-    when the revision cap ran out and the best-scoring attempt was taken
-    anyway. For planner/tool outcomes forced=False implies passed=True; the
-    answer agent returns failed outcomes un-forced (it does not revise).
+    ``passed`` is the gate verdict for the accepted value. When every attempt
+    was rejected, ``accepted`` is the best-scoring one and ``passed`` is
+    False: a planner or tool output then proceeds forced, and a rejected
+    answer hands the round to inter-reflection.
     """
 
     accepted: T
     attempts: int
-    forced: bool
     passed: bool
 
 
@@ -153,6 +152,7 @@ class AgentRunner:
             base_user=base_user,
             validate=validate,
             threshold=self.config.thresholds.theta_p,
+            cap=self.config.revision_cap,
             quote=plan_to_output_dict,
         )
 
@@ -189,6 +189,7 @@ class AgentRunner:
             base_user=base_user,
             validate=validate,
             threshold=self.config.thresholds.theta_t,
+            cap=self.config.revision_cap,
             quote=tool_call_to_output_dict,
             node_function=node.function,
         )
@@ -196,8 +197,8 @@ class AgentRunner:
     def answer(self, plan: Plan, trajectory: Sequence[Any]) -> GateOutcome[FinalAnswer]:
         """Synthesize the final answer from the full round trajectory.
 
-        Single attempt by design: a below-theta_a answer comes back with
-        passed=False so the caller can store the trajectory and replan.
+        The same gate with a single attempt: a below-theta_a answer comes back
+        with passed=False so the caller can store the trajectory and replan.
         """
         user = render(
             self.templates[TemplateName.ANSWER_USER],
@@ -206,23 +207,14 @@ class AgentRunner:
                 "trajectory": render_trajectory(plan, trajectory),
             },
         )
-        answer = self._attempt(
+        return self._gated(
             agent="answer",
-            attempt=1,
             system=self.templates[TemplateName.ANSWER_SYSTEM].body,
-            user=user,
+            base_user=user,
             validate=lambda value: validate_output(value, OutputKind.ANSWER),
+            threshold=self.config.thresholds.theta_a,
+            cap=1,
         )
-        passed = gate(answer.reflection.score, self.config.thresholds.theta_a)
-        self.emit(
-            "agent_output",
-            agent="answer",
-            attempt=1,
-            score=answer.reflection.score,
-            accepted=passed,
-            divergence=False,
-        )
-        return GateOutcome(accepted=answer, attempts=1, forced=False, passed=passed)
 
     # -- shared machinery ------------------------------------------------------
 
@@ -233,14 +225,38 @@ class AgentRunner:
         base_user: str,
         validate: Callable[[Any], T],
         threshold: int,
-        quote: Callable[[T], dict[str, Any]],
+        cap: int,
+        quote: Callable[[T], dict[str, Any]] | None = None,
         node_function: str | None = None,
     ) -> GateOutcome[T]:
+        """Up to ``cap`` attempts, each an initial call plus up to parse_retry_cap
+        correction re-prompts; raises ParseExhausted when all are unusable."""
         rejected: list[T] = []
         quotes: list[str] = []
-        for attempt in range(1, self.config.revision_cap + 1):
-            revision = _REVISION_HEADER + "\n\n".join(quotes) + _REVISION_FOOTER if quotes else ""
-            value = self._attempt(agent, attempt, system, base_user + revision, validate)
+        tries = 1 + self.config.parse_retry_cap
+        for attempt in range(1, cap + 1):
+            user = base_user + _REVISION_HEADER + "\n\n".join(quotes) + _REVISION_FOOTER if quotes else base_user
+            reason = ""
+            for parse_try in range(tries):
+                prompt = user if parse_try == 0 else user + "\n\n" + _CORRECTION.format(reason=reason)
+                request = ChatRequest(system=system, user=prompt, model=self.backend.model)
+                response = self.backend.complete(request)
+                self.emit(
+                    "agent_call",
+                    agent=agent,
+                    attempt=attempt,
+                    parse_try=parse_try,
+                    prompt_hash=prompt_hash(system, prompt),
+                    prompt_tokens=response.prompt_tokens,
+                    completion_tokens=response.completion_tokens,
+                )
+                try:
+                    value = validate(extract_json(response.text))
+                    break
+                except (NoJsonFound, MalformedJson, SchemaError) as exc:
+                    reason = str(exc)
+            else:
+                raise ParseExhausted(agent, tries)
             score = value.reflection.score
             passed = gate(score, threshold)
             self.emit(
@@ -252,44 +268,13 @@ class AgentRunner:
                 divergence=node_function is not None and value.function != node_function,
             )
             if passed:
-                return GateOutcome(accepted=value, attempts=attempt, forced=False, passed=True)
+                return GateOutcome(accepted=value, attempts=attempt, passed=True)
             rejected.append(value)
-            if attempt < self.config.revision_cap:  # quoted once, and only if a later attempt reads it
+            if quote is not None and attempt < cap:  # quoted once, and only if a later attempt reads it
                 quotes.append(
                     f"Attempt {attempt} (rejected, score {score}/10):\n"
                     + json.dumps(quote(value), ensure_ascii=False, indent=2)
                     + f"\nIts intra-reflection: {value.reflection.evaluation}"
                 )
         best = max(rejected, key=lambda v: v.reflection.score)  # ties -> earliest
-        return GateOutcome(accepted=best, attempts=self.config.revision_cap, forced=True, passed=False)
-
-    def _attempt(
-        self,
-        agent: str,
-        attempt: int,
-        system: str,
-        user: str,
-        validate: Callable[[Any], T],
-    ) -> T:
-        """One revision attempt: initial call plus up to parse_retry_cap
-        correction re-prompts; raises ParseExhausted when all are unusable."""
-        reason = ""
-        tries = 1 + self.config.parse_retry_cap
-        for parse_try in range(tries):
-            prompt = user if parse_try == 0 else user + "\n\n" + _CORRECTION.format(reason=reason)
-            request = ChatRequest(system=system, user=prompt, model=self.backend.model)
-            response = self.backend.complete(request)
-            self.emit(
-                "agent_call",
-                agent=agent,
-                attempt=attempt,
-                parse_try=parse_try,
-                prompt_hash=prompt_hash(system, prompt),
-                prompt_tokens=response.prompt_tokens,
-                completion_tokens=response.completion_tokens,
-            )
-            try:
-                return validate(extract_json(response.text))
-            except (NoJsonFound, MalformedJson, SchemaError) as exc:
-                reason = str(exc)
-        raise ParseExhausted(agent, tries)
+        return GateOutcome(accepted=best, attempts=cap, passed=False)

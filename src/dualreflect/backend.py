@@ -16,6 +16,7 @@ replayed runs never load it.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -117,11 +118,14 @@ class TokenTotals:
 
 
 def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
+    temperature = data.get("temperature", 0.0)
+    if isinstance(temperature, bool) or not isinstance(temperature, (int, float)) or not math.isfinite(temperature):
+        raise ValueError(f"request temperature must be a finite number, got {temperature!r}")
     return ChatRequest(
         _text(data["system"], "request system"),
         _text(data["user"], "request user"),
         _text(data.get("model", "scripted"), "request model"),
-        data.get("temperature", 0.0),
+        float(temperature),
     )
 
 

@@ -131,8 +131,7 @@ def _cmd_run(args: argparse.Namespace, config: RunConfig) -> int:
         if getattr(args, "record", None) is not None:
             backend = RecordingBackend(backend, args.record)
         result = run_task(bundle.task, config, backend, bundle.registry, trace_path=args.trace_out)
-    passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
-    _print_result(bundle.task.id, result, passed)
+    _print_result(bundle.task.id, result, check_success(bundle.task, result))
     return 1 if result.status is RunStatus.ABORTED else 0
 
 

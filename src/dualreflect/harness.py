@@ -125,7 +125,10 @@ def load_suite(path: Path | str, require_scripts: bool = True) -> list[TaskBundl
 
 
 def check_success(task: TaskSpec, result: RunResult) -> bool:
-    """Apply the task's success predicate to a finished run."""
+    """Apply the task's success predicate to a finished run; an aborted run
+    fails every predicate."""
+    if result.status is RunStatus.ABORTED:
+        return False
     pred = task.success_check
     if pred.kind is PredicateKind.ANSWER_CONTAINS:
         return result.final_answer is not None and all(s in result.final_answer.text for s in pred.payload)
@@ -196,7 +199,7 @@ def _run_cell(
     the run is this cell's failure, never the eval's."""
     try:
         result = run_task(bundle.task, config, factory(bundle), bundle.registry)
-        passed = result.status is not RunStatus.ABORTED and check_success(bundle.task, result)
+        passed = check_success(bundle.task, result)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         return RunRecord(bundle.task.id, repeat, RunStatus.ABORTED.value, False, 0, 0, None, 0, 0, 0, error=error), []
@@ -239,6 +242,7 @@ def evaluate(
         raise ValueError("jobs must be >= 1")
     bundles = load_suite(suite_dir, require_scripts=backend_factory is None)
     factory = backend_factory if backend_factory is not None else (lambda bundle: bundle.make_backend())
+    # Built in (repeat, task id) order, which pool.map keeps: the runs need no sort.
     cells = [(bundle, repeat) for repeat in range(1, repeats + 1) for bundle in bundles]
     if jobs > 1 and cells:
         from concurrent.futures import ThreadPoolExecutor
@@ -247,7 +251,6 @@ def evaluate(
             outcomes = list(pool.map(lambda cell: _run_cell(cell[0], cell[1], config, factory), cells))
     else:
         outcomes = [_run_cell(bundle, repeat, config, factory) for bundle, repeat in cells]
-    outcomes.sort(key=lambda pair: (pair[0].repeat, pair[0].task_id))
 
     records = tuple(record for record, _ in outcomes)
     histograms = {agent: [0] * 10 for agent in AGENTS}
@@ -255,11 +258,11 @@ def evaluate(
         for agent, score in scores:
             histograms[agent][score - 1] += 1
 
-    per_repeat: list[float] = []
+    passes = [0] * repeats
+    for r in records:
+        passes[r.repeat - 1] += r.passed
     n_tasks = len(bundles)
-    for repeat in range(1, repeats + 1):
-        passes = sum(1 for r in records if r.repeat == repeat and r.passed)
-        per_repeat.append(100.0 * passes / n_tasks if n_tasks else 0.0)
+    per_repeat = [100.0 * count / n_tasks if n_tasks else 0.0 for count in passes]
     tokens_total = sum(r.prompt_tokens + r.completion_tokens for r in records)
     return SuiteResult(
         schema_version=SCHEMA_VERSION,

@@ -191,7 +191,7 @@ class TaskRun:
                     status=result.status.value,
                     payload=result.payload,
                     score=call.reflection.score,
-                    forced=tool_out.forced,
+                    forced=not tool_out.passed,
                     divergence=call.function != node.function,
                 )
                 step = TrajectoryStep(node.id, call, result, attempt)
@@ -223,7 +223,7 @@ class TaskRun:
         succeeded_count = sum(1 for n in plan.nodes if n.status is NodeStatus.SUCCEEDED)
         base_fields = {
             "plan_score": plan.reflection.score,
-            "plan_forced": plan_out.forced,
+            "plan_forced": not plan_out.passed,
             "plan_attempts": plan_out.attempts,
             "nodes_total": len(plan.nodes),
             "nodes_succeeded": succeeded_count,

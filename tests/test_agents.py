@@ -47,6 +47,20 @@ def nodes(*functions):
     return [(f"n{i}", f"use {fn}", fn) for i, fn in enumerate(functions, 1)]
 
 
+def answer_trajectory():
+    plan = Plan(
+        nodes=(PlanNode("n1", "s1", "alpha"), PlanNode("n2", "s2", "beta")),
+        reflection=IntraReflection(evaluation="plan", score=9),
+    )
+    steps = []
+    for i, node in enumerate(plan.nodes, 1):
+        call = ToolCall(node.function, {"q": f"v{i}"}, IntraReflection(evaluation=f"pick {i}", score=8))
+        steps.append(TrajectoryStep(node.id, call, ExecutionResult(ExecutionStatus.OK, f"obs {i}"), 1))
+    call = ToolCall("alpha", {"q": "retry"}, IntraReflection(evaluation="pick 3", score=9))
+    steps.append(TrajectoryStep("n2", call, ExecutionResult(ExecutionStatus.OK, "obs 3"), 2))
+    return plan, steps
+
+
 class TestGate:
     @pytest.mark.parametrize(
         "score, threshold, expected",
@@ -72,7 +86,7 @@ class TestPlanner:
         r, backend = runner(steps)
         outcome = r.plan(LongTermMemory())
         assert backend.token_totals().calls == 2
-        assert outcome.attempts == 2 and outcome.forced is False and outcome.passed is True
+        assert outcome.attempts == 2 and outcome.passed is True
         assert len(outcome.accepted.nodes) == 2
 
     def test_rejected_attempt_is_quoted_in_revision_prompt(self):
@@ -95,8 +109,7 @@ class TestPlanner:
         ]
         r, _ = runner(steps)
         outcome = r.plan(LongTermMemory())
-        assert outcome.forced is True and outcome.passed is False
-        assert outcome.attempts == 3
+        assert outcome.passed is False and outcome.attempts == 3
         assert outcome.accepted.reflection.evaluation == "a"  # ties -> earliest
 
     def test_best_of_attempts_prefers_higher_score(self):
@@ -120,13 +133,21 @@ class TestPlanner:
         assert backend.token_totals().calls == 2
         assert "Correction:" in backend.requests[1].user
 
-    def test_parse_exhausted_after_all_retries(self):
+    @pytest.mark.parametrize("agent", ["planner", "tool", "answer"])
+    def test_parse_exhausted_after_all_retries(self, agent):
         cfg = config(parse_retry_cap=2)
-        steps = [step(GARBAGE), step(GARBAGE), step(GARBAGE)]
-        r, backend = runner(steps, cfg)
-        with pytest.raises(ParseExhausted):
-            r.plan(LongTermMemory())
+        events = []
+        r, backend = runner([step(GARBAGE)] * 3, cfg, events)
+        invoke = {
+            "planner": lambda: r.plan(LongTermMemory()),
+            "tool": lambda: r.select_tool(PlanNode("n1", "use the tool", "alpha"), [], ShortTermMemory()),
+            "answer": lambda: r.answer(*answer_trajectory()),
+        }[agent]
+        with pytest.raises(ParseExhausted) as excinfo:
+            invoke()
+        assert excinfo.value.agent == agent and excinfo.value.tries == 3
         assert backend.token_totals().calls == 3  # 1 + parse_retry_cap
+        assert [e["kind"] for e in events] == ["agent_call"] * 3  # no agent_output
 
     def test_long_memory_slot_filled_with_sentinel_when_fresh(self):
         steps = [step(planner_json(nodes("alpha"), 9))]
@@ -194,7 +215,7 @@ class TestToolAgent:
         monkeypatch.setattr(agents, "tool_call_to_output_dict", lambda call: quoted.append(call) or real(call))
         r, _ = runner(self.FORCED)
         outcome = r.select_tool(self.node(), [], ShortTermMemory())
-        assert outcome.forced is True and outcome.accepted.parameters == {"q": "second"}
+        assert outcome.passed is False and outcome.accepted.parameters == {"q": "second"}
         # Each rejected attempt is quoted once, and the last one not at all.
         assert [call.parameters["q"] for call in quoted] == ["café {short_memory}", "second"]
 
@@ -237,34 +258,23 @@ class TestToolAgent:
 
 
 class TestAnswerAgent:
-    def trajectory(self):
-        plan = Plan(
-            nodes=(PlanNode("n1", "s1", "alpha"), PlanNode("n2", "s2", "beta")),
-            reflection=IntraReflection(evaluation="plan", score=9),
-        )
-        steps = []
-        for i, node in enumerate(plan.nodes, 1):
-            call = ToolCall(node.function, {"q": f"v{i}"}, IntraReflection(evaluation=f"pick {i}", score=8))
-            steps.append(TrajectoryStep(node.id, call, ExecutionResult(ExecutionStatus.OK, f"obs {i}"), 1))
-        call = ToolCall("alpha", {"q": "retry"}, IntraReflection(evaluation="pick 3", score=9))
-        steps.append(TrajectoryStep("n2", call, ExecutionResult(ExecutionStatus.OK, "obs 3"), 2))
-        return plan, steps
-
     def test_accepted_at_threshold(self):
-        plan, steps = self.trajectory()
+        plan, steps = answer_trajectory()
         r, _ = runner([step(answer_json("all done", 8))])
         outcome = r.answer(plan, steps)
-        assert outcome.passed is True and outcome.forced is False and outcome.attempts == 1
+        assert outcome.passed is True and outcome.attempts == 1
 
     def test_rejected_below_threshold_not_revised(self):
-        plan, steps = self.trajectory()
-        r, backend = runner([step(answer_json("meh", 7))])
+        plan, steps = answer_trajectory()
+        # revision_cap=3 and a passing reply queued: the answer still gets one attempt.
+        r, backend = runner([step(answer_json("meh", 7)), step(answer_json("better", 9))], config(revision_cap=3))
         outcome = r.answer(plan, steps)
-        assert outcome.passed is False and outcome.forced is False and outcome.attempts == 1
+        assert outcome.passed is False and outcome.attempts == 1
+        assert outcome.accepted.text == "meh"
         assert backend.token_totals().calls == 1  # no local revision, ever
 
     def test_trajectory_rendered_with_action_observation_blocks(self):
-        plan, steps = self.trajectory()
+        plan, steps = answer_trajectory()
         r, backend = runner([step(answer_json("all done", 9))])
         r.answer(plan, steps)
         prompt = backend.requests[0].user
@@ -274,7 +284,7 @@ class TestAnswerAgent:
         assert "n2 [pending] beta: s2" in prompt  # plan section present
 
     def test_parse_retry_then_success(self):
-        plan, steps = self.trajectory()
+        plan, steps = answer_trajectory()
         r, backend = runner([step(GARBAGE), step(answer_json("all done", 9))])
         outcome = r.answer(plan, steps)
         assert outcome.passed is True and outcome.attempts == 1
@@ -293,7 +303,7 @@ class TestInvariants:
         ]
         r, backend = runner(steps, cfg)
         outcome = r.plan(LongTermMemory())
-        assert outcome.forced is True
+        assert outcome.passed is False and outcome.attempts == cfg.revision_cap
         assert backend.token_totals().calls <= cfg.revision_cap * (1 + cfg.parse_retry_cap)
 
     @settings(max_examples=40, deadline=None)

@@ -494,6 +494,19 @@ class TestRecordReplay:
         with pytest.raises(ScriptExhausted, match="^script exhausted after 3 steps$"):
             replay.complete(calls[0][0])
 
+    CAPTURE_LINE = '{"text": "r", "prompt_tokens": 1, "completion_tokens": 1, "request": {"system": "s", "user": "u"%s}}'
+
+    @pytest.mark.parametrize("raw", ['"0"', "[1]", "true", "null", "1e400", "-1e400", "NaN", "{}"])
+    def test_capture_temperature_must_be_a_finite_number(self, raw):
+        with pytest.raises(ValueError, match="^bad script line 2: request temperature must be a finite number, got "):
+            script_from_jsonl("\n" + self.CAPTURE_LINE % f', "temperature": {raw}')
+
+    @pytest.mark.parametrize("raw, expected", [(None, 0.0), ("0", 0.0), ("0.7", 0.7), ("2", 2.0)])
+    def test_capture_temperature_number_or_absent_loads(self, raw, expected):
+        (loaded,) = script_from_jsonl(self.CAPTURE_LINE % ("" if raw is None else f', "temperature": {raw}'))
+        assert loaded.request == ChatRequest(system="s", user="u", temperature=expected)
+        assert type(loaded.request.temperature) is float
+
     def test_totals_equal_fold_over_trace_file(self, tmp_path):
         _, _, path = self.record(tmp_path)
         replay = self.replay(path)

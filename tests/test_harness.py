@@ -84,6 +84,21 @@ class TestEvaluate:
         assert len(result.runs) == 9
         assert result.pass_rate_per_repeat == (result.pass_rate,) * 3
 
+    def test_pass_rates_that_differ_across_repeats(self, tmp_path):
+        write_three_task_suite(tmp_path)
+        # Answers in cell order: task-2 misses its marker at repeat 1 only.
+        markers = iter(["ALL-GOOD", "WRONG", "WRONG", "ALL-GOOD", "ALL-GOOD", "WRONG"])
+        factory = lambda bundle: ScriptedBackend(passing_steps(next(markers)))
+
+        result = evaluate(tmp_path, CFG, repeats=2, backend_factory=factory)
+        assert [(r.repeat, r.task_id, r.passed) for r in result.runs] == [
+            (1, "task-1", True), (1, "task-2", False), (1, "task-3", False),
+            (2, "task-1", True), (2, "task-2", True), (2, "task-3", False),
+        ]  # fmt: skip
+        assert result.pass_rate_per_repeat == pytest.approx((100 / 3, 200 / 3))
+        assert result.pass_rate == pytest.approx(50.0)
+        assert result.pass_rate_stdev == pytest.approx(50 / 3)
+
     def test_aborted_task_is_a_fail_not_a_crash(self, tmp_path):
         write_three_task_suite(tmp_path)
         bad_task = make_task(["alpha"], task_id="task-4-aborts")
@@ -327,6 +342,29 @@ class TestPredicates:
     def test_all_nodes_succeeded_requires_an_answer_round(self):
         task, result = self.run_with_predicate(SuccessPredicate.all_nodes_succeeded())
         assert check_success(task, result) is True
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            SuccessPredicate.answer_contains(["RESULT=42"]),
+            SuccessPredicate.expected_calls([ExpectedCall("alpha", {"q": "x"})]),
+            SuccessPredicate.all_nodes_succeeded(),
+        ],
+        ids=["answer_contains", "expected_calls", "all_nodes_succeeded"],
+    )
+    def test_aborted_run_fails_every_predicate(self, predicate):
+        # Round 1 answers with the matching text below theta_a; round 2 runs
+        # out of script. The run keeps round 1's answer but is aborted.
+        task = make_task(["alpha", "beta"], predicate=predicate, task_id="pred")
+        steps = [
+            step(planner_json([("n1", "s", "alpha")], 9)),
+            step(tool_json("alpha", {"q": "x"}, 9)),
+            step(answer_json("It is done: RESULT=42.", 7)),
+        ]
+        result = run_task(task, CFG, make_backend(steps), make_registry(["alpha", "beta"]))
+        assert result.status is RunStatus.ABORTED
+        assert result.final_round == 1 and "RESULT=42" in result.final_answer.text
+        assert check_success(task, result) is False
 
 
 class TestSweeps:
