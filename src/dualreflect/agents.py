@@ -69,10 +69,8 @@ class GateOutcome(Generic[T]):
 
 
 def gate(score: int, threshold: int) -> bool:
-    """Uniform acceptance test: the output proceeds iff score >= threshold."""
-    for name, value in (("score", score), ("threshold", threshold)):
-        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 10:
-            raise ValueError(f"{name} must be an integer in [1, 10], got {value!r}")
+    """Uniform acceptance test: the output proceeds iff score >= threshold.
+    ``IntraReflection`` and ``Thresholds`` own both ranges."""
     return score >= threshold
 
 

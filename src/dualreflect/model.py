@@ -1,15 +1,18 @@
 """Domain types shared by every part of the workflow engine.
 
 Value objects are frozen dataclasses: construct once, share freely across
-concurrent task runs. Invariants that must never be violated (score range,
-status transitions, a runnable task) are enforced at construction.
+concurrent task runs. Constructors own the score range, thresholds and caps,
+a runnable task and the payload of an OK result; ``backend.ChatResponse``
+owns script token counts. The shape of agent output (non-empty text, unique
+node ids, a number for a score) is checked once, by
+``promptkit.validate_output``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from typing import Any
 
@@ -18,7 +21,6 @@ __all__ = [
     "ParamKind",
     "PredicateKind",
     "ExecutionStatus",
-    "IllegalTransition",
     "ParamSpec",
     "ToolSpec",
     "ExpectedCall",
@@ -34,7 +36,6 @@ __all__ = [
     "Thresholds",
     "RunConfig",
     "clamp_score",
-    "node_transition",
     "task_to_dict",
     "task_from_dict",
     "task_to_json",
@@ -45,7 +46,8 @@ __all__ = [
 
 
 class NodeStatus(IntEnum):
-    """Plan-node lifecycle; the wire encoding is the integer value."""
+    """Plan-node status: planner output carries PENDING's integer value, and
+    ``render_trajectory`` prints each name, read from the round's steps."""
 
     PENDING = 0
     SUCCEEDED = 1
@@ -72,18 +74,12 @@ class ExecutionStatus(str, Enum):
     SIMULATED_FAILURE = "simulated_failure"
 
 
-class IllegalTransition(Exception):
-    """A plan node was moved along a disallowed status edge."""
-
-
 def clamp_score(raw: int | float) -> tuple[int, bool]:
     """Floor a model-reported score to an integer and clamp it into [1, 10].
 
     Returns the score and a flag that is True only when the bounds clamp
     fired; flooring a fractional value alone is not flagged.
     """
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise TypeError(f"score must be a number, got {type(raw).__name__}")
     floored = math.floor(raw)
     if floored < 1:
         return 1, True
@@ -168,8 +164,6 @@ class IntraReflection:
     clamped: bool = False
 
     def __post_init__(self) -> None:
-        if not self.evaluation:
-            raise ValueError("reflection evaluation must be non-empty")
         if isinstance(self.score, bool) or not isinstance(self.score, int) or not 1 <= self.score <= 10:
             raise ValueError(f"reflection score must be an integer in [1, 10], got {self.score!r}")
 
@@ -181,18 +175,6 @@ class PlanNode:
     id: str
     subtask: str
     function: str
-    status: NodeStatus = NodeStatus.PENDING
-
-
-def node_transition(node: PlanNode, to: NodeStatus) -> PlanNode:
-    """Move a node to a terminal status.
-
-    Only PENDING -> SUCCEEDED and PENDING -> FAILED are legal; anything else
-    raises :class:`IllegalTransition`, which keeps node status monotonic.
-    """
-    if node.status is not NodeStatus.PENDING or to not in (NodeStatus.SUCCEEDED, NodeStatus.FAILED):
-        raise IllegalTransition(f"cannot move node {node.id!r} from {node.status.name} to {to.name}")
-    return replace(node, status=to)
 
 
 @dataclass(frozen=True)
@@ -204,13 +186,6 @@ class Plan:
 
     nodes: tuple[PlanNode, ...]
     reflection: IntraReflection
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for node in self.nodes:
-            if node.id in seen:
-                raise ValueError(f"duplicate plan node id {node.id!r}")
-            seen.add(node.id)
 
 
 @dataclass(frozen=True)
@@ -243,10 +218,6 @@ class TrajectoryStep:
     observation: ExecutionResult
     attempt_index: int
 
-    def __post_init__(self) -> None:
-        if self.attempt_index < 1:
-            raise ValueError("attempt_index starts at 1")
-
 
 @dataclass(frozen=True)
 class FinalAnswer:
@@ -254,10 +225,6 @@ class FinalAnswer:
 
     text: str
     reflection: IntraReflection
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("final answer text must be non-empty")
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,10 @@ from .memory import LongTermMemory, LTMRecord, ShortTermMemory
 from .model import (
     ExecutionStatus,
     FinalAnswer,
-    NodeStatus,
     Plan,
     RunConfig,
     TaskSpec,
     TrajectoryStep,
-    node_transition,
 )
 from .promptkit import describe_result
 from .sandbox import SandboxRegistry
@@ -158,8 +156,6 @@ class TaskRun:
         records the outcome (``accepted``, ``rejected``, or
         ``execution_failure``)."""
         config = self.config
-        if self.status is not RunStatus.RUNNING:
-            raise RuntimeError(f"run_round requires a running state, not {self.status.value}")
         self.trace.round += 1
         self.trace.emit("round_start")
 
@@ -167,17 +163,14 @@ class TaskRun:
         plan = plan_out.accepted
         self.trajectory = []
         related: list[tuple[str, str]] = []
-        nodes = list(plan.nodes)
         failure: str | None = None
 
-        if not nodes:
+        if not plan.nodes:
             failure = "planner produced an empty plan; nothing to execute"
-        for i, node in enumerate(nodes):
+        for node in plan.nodes:
             cleared = self.stm.bind(node)
             if cleared:
                 self.trace.emit("stm_reset", node=node.id, reason="rebind", cleared=cleared)
-            succeeded = False
-            result = None
             for attempt in range(1, config.subtask_retry_cap + 1):
                 tool_out = self.runner.select_tool(node, related, self.stm)
                 call = tool_out.accepted
@@ -197,11 +190,9 @@ class TaskRun:
                 step = TrajectoryStep(node.id, call, result, attempt)
                 self.trajectory.append(step)
                 if result.status is ExecutionStatus.OK:
-                    nodes[i] = node_transition(node, NodeStatus.SUCCEEDED)
                     related.append((node.id, result.payload))
                     cleared = self.stm.reset()
                     self.trace.emit("stm_reset", node=node.id, reason="subtask_success", cleared=cleared)
-                    succeeded = True
                     break
                 self.stm.record(step)
                 self.trace.emit(
@@ -211,22 +202,19 @@ class TaskRun:
                     action=call.function,
                     observation=describe_result(result),
                 )
-            if not succeeded:
-                nodes[i] = node_transition(node, NodeStatus.FAILED)
+            else:
                 failure = (
                     f"subtask {node.id} failed after {config.subtask_retry_cap} attempts; "
                     f"last error: {describe_result(result)}"
                 )
                 break
 
-        plan = Plan(nodes=tuple(nodes), reflection=plan.reflection)
-        succeeded_count = sum(1 for n in plan.nodes if n.status is NodeStatus.SUCCEEDED)
         base_fields = {
             "plan_score": plan.reflection.score,
             "plan_forced": not plan_out.passed,
             "plan_attempts": plan_out.attempts,
             "nodes_total": len(plan.nodes),
-            "nodes_succeeded": succeeded_count,
+            "nodes_succeeded": len(related),
         }
 
         if failure is not None:

@@ -342,7 +342,7 @@ def _reflection_dict(reflection: IntraReflection) -> dict[str, Any]:
 def plan_to_output_dict(plan: Plan) -> dict[str, Any]:
     return {
         "nodes": [
-            {"id": n.id, "status": int(n.status), "subtask": n.subtask, "function": n.function}
+            {"id": n.id, "status": NodeStatus.PENDING.value, "subtask": n.subtask, "function": n.function}
             for n in plan.nodes
         ],
         "intra_reflection": _reflection_dict(plan.reflection),
@@ -401,10 +401,17 @@ def describe_result(result: ExecutionResult) -> str:
 
 
 def render_trajectory(plan: Plan, steps: Sequence[TrajectoryStep]) -> str:
-    """Chronological round record for the answer prompt and LTM entries."""
+    """Chronological round record for the answer prompt and LTM entries.
+
+    A node's status is read from ``steps``: succeeded if one of its steps ran
+    OK, failed if it has steps and none ran OK, pending if it has none.
+    """
+    tried = {step.node_id for step in steps}
+    ok = {step.node_id for step in steps if step.observation.status is ExecutionStatus.OK}
     lines = [f"Plan (score {plan.reflection.score}/10):"]
     for i, node in enumerate(plan.nodes, 1):
-        lines.append(f"{i}. {node.id} [{node.status.name.lower()}] {node.function}: {node.subtask}")
+        status = NodeStatus.SUCCEEDED if node.id in ok else NodeStatus.FAILED if node.id in tried else NodeStatus.PENDING
+        lines.append(f"{i}. {node.id} [{status.name.lower()}] {node.function}: {node.subtask}")
     if not plan.nodes:
         lines.append("(no subtasks)")
     blocks = ["\n".join(lines)]

@@ -471,8 +471,13 @@ class TestRecordReplay:
         replay.complete(calls[0][0])
         with pytest.raises(ReplayMismatch) as err:
             replay.complete(ChatRequest(system="s", user="tampered", model="scripted"))
-        assert err.value.offset >= 0
-        assert str(err.value).startswith(f"request 2 diverged from the recording at byte {err.value.offset}: ")
+        # Canonical form: {"model": "scripted", "system": "s", "temperature": 0.0, "user": "u1"}.
+        # The user text starts at byte 66; each excerpt opens 12 bytes before it.
+        assert err.value.offset == 66
+        assert str(err.value) == (
+            'request 2 diverged from the recording at byte 66: '
+            'recorded ...0, "user": "u1"}... got ...0, "user": "tampered"}...'
+        )
 
     def test_replay_mismatch_reports_first_divergent_byte(self, tmp_path):
         _, _, path = self.record(tmp_path)

@@ -343,6 +343,17 @@ class TestPredicates:
         task, result = self.run_with_predicate(SuccessPredicate.all_nodes_succeeded())
         assert check_success(task, result) is True
 
+    def test_all_nodes_succeeded_fails_when_no_round_reached_an_answer(self):
+        # The one subtask fails its only attempt in both rounds, so the answer
+        # agent never runs and the run exhausts with final_round 0.
+        task = make_task(["alpha", "beta"], predicate=SuccessPredicate.all_nodes_succeeded(), task_id="pred")
+        steps = [step(planner_json([("n1", "s", "alpha")], 9)), step(tool_json("alpha", {"q": "x"}, 9))] * 2
+        cfg = RunConfig(max_rounds=2, subtask_retry_cap=1)
+        result = run_task(task, cfg, make_backend(steps), make_registry(["alpha", "beta"], {"alpha": 2}))
+        assert result.status is RunStatus.EXHAUSTED and result.final_round == 0
+        assert [e["outcome"] for e in result.events if e["kind"] == "round_end"] == ["execution_failure"] * 2
+        assert check_success(task, result) is False
+
     @pytest.mark.parametrize(
         "predicate",
         [

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualreflect.model import FinalAnswer, NodeStatus, Plan, RunConfig, ToolCall
+from dualreflect.model import FinalAnswer, Plan, RunConfig, ToolCall
 from dualreflect.orchestrator import RunStatus, run_task
 from dualreflect.promptkit import (
     MalformedJson,
@@ -191,7 +191,6 @@ class TestValidateOutput:
         plan = validate_output(value, OutputKind.PLANNER)
         assert isinstance(plan, Plan)
         assert len(plan.nodes) == 2
-        assert all(n.status is NodeStatus.PENDING for n in plan.nodes)
         assert plan.reflection.score == 9
 
     def test_corpus_validation_outcomes(self):
@@ -280,23 +279,68 @@ COMPLETIONS = st.text() | st.tuples(st.text(max_size=10), REPLIES, st.text(max_s
     lambda parts: parts[0] + json.dumps(parts[1]) + parts[2]
 )
 
+# Replies with every field of the right JSON type, so most of them reach a
+# typed value: the strings may be empty, node ids repeat, and a score may be
+# out of range, fractional or a bool. One reply carries the fields of all
+# three agents; each kind reads only its own.
+SHORT = st.sampled_from(["", "a", "b", "ab", "ba"])
+SHAPED_NODES = st.fixed_dictionaries({"id": SHORT, "subtask": SHORT, "function": SHORT, "status": st.just(0)})
+SHAPED_REPLIES = st.fixed_dictionaries(
+    {
+        "nodes": st.lists(SHAPED_NODES, min_size=1, max_size=3),
+        "function": SHORT,
+        "parameters": st.just({}),
+        "answer": SHORT,
+        "intra_reflection": st.fixed_dictionaries(
+            {"evaluation": SHORT, "score": st.integers(-1, 12) | st.floats(-1, 12) | st.booleans()}
+        ),
+    }
+)
+
+NOT_FINITE = "intra_reflection.score: expected a finite number"
+NOT_A_NUMBER = "intra_reflection.score: expected a number"
+
+
+def nonempty_str(value):
+    return isinstance(value, str) and value != ""
+
 
 class TestModelOutputBoundary:
     @settings(max_examples=300, deadline=None)
-    @given(COMPLETIONS)
+    @given(COMPLETIONS | SHAPED_REPLIES.map(json.dumps))
     def test_any_completion_is_typed_or_prompt_error(self, text):
+        # The parser is the one owner of these facts: the typed values do not
+        # re-check them, so every value it builds must already hold them.
         for kind in OutputKind:
             try:
                 value = validate_output(extract_json(text), kind)
             except PromptError:
                 continue
             assert isinstance(value, (Plan, ToolCall, FinalAnswer))
+            score = value.reflection.score
+            assert nonempty_str(value.reflection.evaluation)
+            assert type(score) is int and 1 <= score <= 10
+            if isinstance(value, Plan):
+                ids = [node.id for node in value.nodes]
+                assert len(set(ids)) == len(ids)
+                for node in value.nodes:
+                    assert nonempty_str(node.id) and nonempty_str(node.subtask) and nonempty_str(node.function)
+            elif isinstance(value, ToolCall):
+                assert nonempty_str(value.function)
+            else:
+                assert nonempty_str(value.text)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
-    def test_non_finite_score_is_schema_error(self, literal):
+    @pytest.mark.parametrize(
+        "literal, message",
+        [pytest.param(literal, NOT_FINITE, id=literal) for literal in ("NaN", "Infinity", "-Infinity", "1e400", "-1e400")]
+        # A bool is an int to Python; the parser is the only check that refuses it.
+        + [pytest.param(literal, NOT_A_NUMBER, id=literal) for literal in ("true", '"8"')],
+    )
+    def test_non_finite_score_is_schema_error(self, literal, message):
         raw = '{"answer": "done", "intra_reflection": {"evaluation": "e", "score": %s}}' % literal
-        with pytest.raises(SchemaError, match="intra_reflection.score: expected a finite number"):
+        with pytest.raises(SchemaError) as err:
             validate_output(extract_json(raw), OutputKind.ANSWER)
+        assert err.value.problems == (message,)
 
     def test_nan_scored_reply_costs_one_parse_retry(self):
         nodes = [("n1", "use alpha once", "alpha")]
