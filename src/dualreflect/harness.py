@@ -30,7 +30,6 @@ __all__ = [
     "check_success",
     "evaluate",
     "report",
-    "suite_result_from_dict",
 ]
 
 SCHEMA_VERSION = 1
@@ -139,7 +138,8 @@ def check_success(task: TaskSpec, result: RunResult) -> bool:
         for e in result.events
         if e["kind"] == "execute" and e["status"] == "ok" and e["round"] == result.final_round
     ]
-    for expected in pred.payload:
+    # Entries with parameters match first: a wildcard can take any leftover call.
+    for expected in sorted(pred.payload, key=lambda e: e.parameters is None):
         for i, (function, parameters) in enumerate(executed):
             if function == expected.function and (expected.parameters is None or parameters == expected.parameters):
                 executed.pop(i)
@@ -279,21 +279,6 @@ def evaluate(
 
 
 # --- Serialization and reports --------------------------------------------------
-
-
-def suite_result_from_dict(data: dict[str, Any]) -> SuiteResult:
-    return SuiteResult(
-        schema_version=int(data["schema_version"]),
-        repeats=int(data["repeats"]),
-        task_ids=tuple(data["task_ids"]),
-        runs=tuple(RunRecord(**r) for r in data["runs"]),
-        pass_rate=data["pass_rate"],
-        pass_rate_per_repeat=tuple(data["pass_rate_per_repeat"]),
-        pass_rate_stdev=data["pass_rate_stdev"],
-        tokens_total=int(data["tokens_total"]),
-        tokens_mean_per_run=data["tokens_mean_per_run"],
-        histograms={agent: tuple(counts) for agent, counts in data["histograms"].items()},
-    )
 
 
 def _fmt(value: float | None, suffix: str = "") -> str:

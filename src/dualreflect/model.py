@@ -36,11 +36,8 @@ __all__ = [
     "Thresholds",
     "RunConfig",
     "clamp_score",
-    "task_to_dict",
     "task_from_dict",
-    "task_to_json",
     "task_from_json",
-    "tool_to_dict",
     "tool_from_dict",
 ]
 
@@ -338,11 +335,10 @@ def _check_predicate(task: TaskSpec) -> list[str]:
     return problems
 
 
-# --- JSON (de)serialization ------------------------------------------------
+# --- JSON parsing ------------------------------------------------------------
 #
-# One JSON document per task. Serialization is canonical (fixed key order,
-# two-space indent) so serialize -> parse -> serialize is byte-identical.
-# Parsing is strict: a field of the wrong JSON type is an error, not coerced.
+# One JSON document per task. Parsing is strict: a field of the wrong JSON
+# type is an error, not coerced.
 
 
 def _text(value: Any, what: str) -> str:
@@ -356,21 +352,6 @@ def _text(value: Any, what: str) -> str:
     except UnicodeEncodeError:
         raise ValueError(f"{what} holds a lone surrogate, which is not UTF-8 text") from None
     return value
-
-
-def tool_to_dict(tool: ToolSpec) -> dict[str, Any]:
-    params = []
-    for p in tool.parameters:
-        entry: dict[str, Any] = {
-            "name": p.name,
-            "kind": p.kind.value,
-            "required": p.required,
-            "description": p.description,
-        }
-        if p.kind is ParamKind.ENUM:
-            entry["values"] = list(p.values)
-        params.append(entry)
-    return {"name": tool.name, "description": tool.description, "parameters": params}
 
 
 def tool_from_dict(data: Any) -> ToolSpec:
@@ -412,19 +393,6 @@ def tool_from_dict(data: Any) -> ToolSpec:
     return ToolSpec(name=name, description=description, parameters=tuple(params))
 
 
-def _predicate_to_dict(pred: SuccessPredicate) -> dict[str, Any]:
-    if pred.kind is PredicateKind.EXPECTED_CALLS:
-        payload: Any = [
-            {"function": c.function} if c.parameters is None else {"function": c.function, "parameters": c.parameters}
-            for c in pred.payload
-        ]
-    elif pred.kind is PredicateKind.ANSWER_CONTAINS:
-        payload = list(pred.payload)
-    else:
-        payload = None
-    return {"kind": pred.kind.value, "payload": payload}
-
-
 def _predicate_from_dict(data: Any) -> SuccessPredicate:
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError("success_check must be an object with a 'kind' field")
@@ -449,16 +417,7 @@ def _predicate_from_dict(data: Any) -> SuccessPredicate:
         if not isinstance(payload, list):
             raise ValueError("answer_contains payload must be an array of strings")
         return SuccessPredicate(kind, tuple(_text(s, "answer_contains entry") for s in payload))
-    return SuccessPredicate(kind, None)
-
-
-def task_to_dict(task: TaskSpec) -> dict[str, Any]:
-    return {
-        "id": task.id,
-        "description": task.description,
-        "tools": [tool_to_dict(t) for t in task.tools],
-        "success_check": _predicate_to_dict(task.success_check),
-    }
+    return SuccessPredicate(kind, payload)
 
 
 def task_from_dict(data: Any) -> TaskSpec:
@@ -475,10 +434,6 @@ def task_from_dict(data: Any) -> TaskSpec:
         tools=tuple(tool_from_dict(t) for t in data["tools"]),
         success_check=_predicate_from_dict(data["success_check"]),
     )
-
-
-def task_to_json(task: TaskSpec) -> str:
-    return json.dumps(task_to_dict(task), indent=2, ensure_ascii=False)
 
 
 def task_from_json(text: str) -> TaskSpec:

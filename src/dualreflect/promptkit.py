@@ -244,6 +244,22 @@ def _nonempty_str(value: Any) -> bool:
     return isinstance(value, str) and bool(value)
 
 
+def _all_finite(value: Any) -> bool:
+    """False if a float at any depth of ``value`` is NaN or infinite, which no
+    trace line can hold. Iterative: ``extract_json`` accepts nests deeper than
+    the recursion limit."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, float) and not math.isfinite(item):
+            return False
+        if isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+    return True
+
+
 def _reflection_from(raw: Any, problems: list[str]) -> IntraReflection | None:
     local: list[str] = []
     if not isinstance(raw, dict):
@@ -318,6 +334,8 @@ def validate_output(value: Any, kind: OutputKind) -> Plan | ToolCall | FinalAnsw
             problems.append("function: expected a non-empty string")
         if not isinstance(parameters, dict) or not all(isinstance(k, str) for k in parameters):
             problems.append("parameters: expected an object keyed by parameter name")
+        elif not _all_finite(parameters):
+            problems.append("parameters: expected finite numbers")
         reflection = _reflection_from(value.get("intra_reflection"), problems)
         if problems:
             raise SchemaError(problems)

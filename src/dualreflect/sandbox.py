@@ -26,7 +26,6 @@ from .model import (
     ToolSpec,
     _text,
     tool_from_dict,
-    tool_to_dict,
 )
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "ExecutionStatus",
     "load_registry",
     "registry_from_dict",
-    "registry_to_dict",
 ]
 
 
@@ -77,9 +75,6 @@ class SandboxRegistry:
             if tool.spec.name in self._tools:
                 raise ValueError(f"duplicate sandbox tool {tool.spec.name!r}")
             self._tools[tool.spec.name] = tool
-
-    def __len__(self) -> int:
-        return len(self._tools)
 
     def get(self, name: str) -> SandboxTool | None:
         return self._tools.get(name)
@@ -209,28 +204,6 @@ def registry_from_dict(data: Any) -> SandboxRegistry:
             SandboxTool(spec=spec, default=_result_from_dict(raw["default"], f"{path}.default"), rules=tuple(rules))
         )
     return SandboxRegistry(tools)
-
-
-def registry_to_dict(registry: SandboxRegistry) -> dict[str, Any]:
-    tools = []
-    for spec in registry.tool_specs():
-        tool = registry.get(spec.name)
-        entry: dict[str, Any] = {"spec": tool_to_dict(spec), "default": {
-            "status": tool.default.status.value,
-            "payload": tool.default.payload,
-        }}
-        rules = []
-        for rule in tool.rules:
-            when: dict[str, Any] = {}
-            if rule.params is not None:
-                when["params"] = rule.params
-            if rule.call_index is not None:
-                when["call_index"] = rule.call_index
-            rules.append({"when": when, "result": {"status": rule.result.status.value, "payload": rule.result.payload}})
-        if rules:
-            entry["rules"] = rules
-        tools.append(entry)
-    return {"tools": tools}
 
 
 def load_registry(path: Path | str) -> SandboxRegistry:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from dualreflect.backend import ChatResponse, ScriptedBackend, ScriptStep
@@ -355,19 +355,33 @@ def case_study_config() -> RunConfig:
 # --- Materializing bundles on disk ------------------------------------------------
 
 
+def task_doc(task: TaskSpec) -> dict[str, Any]:
+    """The ``task.json`` document of ``task``: str enums encode as their
+    values, tuples as arrays and a wildcard expected call's parameters as null."""
+    return json.loads(json.dumps(asdict(task)))
+
+
+def sandbox_doc(registry: SandboxRegistry) -> dict[str, Any]:
+    """The ``sandbox.json`` document of ``registry``."""
+    tools = []
+    for spec in registry.tool_specs():
+        tool = registry.get(spec.name)
+        rules = []
+        for rule in tool.rules:
+            when = {"params": rule.params, "call_index": rule.call_index}
+            rules.append({"when": {k: v for k, v in when.items() if v is not None}, "result": asdict(rule.result)})
+        tools.append({"spec": asdict(spec), "default": asdict(tool.default), "rules": rules})
+    return {"tools": tools}
+
+
 def write_bundle(root, task: TaskSpec, registry: SandboxRegistry, steps: list[ScriptStep] | None) -> None:
     """Write a runnable task bundle (task.json, sandbox.json, script.jsonl)."""
     from pathlib import Path
 
-    from dualreflect.model import task_to_json
-    from dualreflect.sandbox import registry_to_dict
-
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    (root / "task.json").write_text(task_to_json(task) + "\n", encoding="utf-8")
-    (root / "sandbox.json").write_text(
-        json.dumps(registry_to_dict(registry), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    for name, doc in [("task.json", task_doc(task)), ("sandbox.json", sandbox_doc(registry))]:
+        (root / name).write_text(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     if steps is not None:
         lines = [
             json.dumps(
@@ -439,6 +453,61 @@ BROKEN_BUNDLES = {
         ) + "\n",
         "bad script line 2: request user holds a lone surrogate",
     ),
+    "task-not-object": ("task.json", lambda text: "[]", "task document must be a JSON object"),
+    "task-tool-not-object": ("task.json", _edit_json(lambda d: d["tools"].append(5)), "tool entry must be an object"),
+    "task-parameters-not-array": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0].update(parameters=5)),
+        "tool parameters must be an array",
+    ),
+    "task-parameter-not-object": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0]["parameters"].append(5)),
+        "parameter entry must be an object",
+    ),
+    "task-duplicate-parameter": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0].update(parameters=d["tools"][0]["parameters"] * 2)),
+        "tools[0].parameters[1].name: duplicate parameter name 'q'",
+    ),
+    **{
+        f"task-{case}": (
+            "task.json",
+            _edit_json(lambda d, kind=kind, payload=payload: d.update(success_check={"kind": kind, "payload": payload})),
+            message,
+        )
+        for case, kind, payload, message in [
+            ("expected-calls-not-array", "expected_calls", {}, "expected_calls payload must be an array"),
+            ("expected-calls-empty", "expected_calls", [], "expected a non-empty list of expected calls"),
+            ("expected-call-not-object", "expected_calls", [5], "expected call entries must be objects"),
+            ("expected-call-no-function", "expected_calls", [{"function": ""}], "payload[0]: expected call must name"),
+            ("answer-contains-not-array", "answer_contains", "x", "answer_contains payload must be an array"),
+            ("all-nodes-succeeded-payload", "all_nodes_succeeded", [1], "payload: must be empty for this predicate"),
+        ]
+    },
+    "sandbox-not-object": ("sandbox.json", lambda text: "[]", "suite file must be an object with a 'tools' array"),
+    "sandbox-tool-without-default": (
+        "sandbox.json",
+        _edit_json(lambda d: d["tools"][0].pop("default")),
+        "tools[0]: expected an object with spec and default",
+    ),
+    "sandbox-duplicate-tool": (
+        "sandbox.json",
+        _edit_json(lambda d: d.update(tools=d["tools"] * 2)),
+        "duplicate sandbox tool 'alpha'",
+    ),
+    **{
+        f"sandbox-{case}": (
+            "sandbox.json",
+            _edit_json(lambda d, rule=rule: d["tools"][0].update(rules=[rule])),
+            f"tools[0].rules[0]{message}",
+        )
+        for case, rule, message in [
+            ("rule-not-object", 5, ": expected an object with when/result"),
+            ("when-not-object", {"when": 5, "result": {}}, ".when: expected an object"),
+            ("when-params-not-object", {"when": {"params": 5}, "result": {}}, ".when.params: expected an object"),
+        ]
+    },
     "sandbox-nested-too-deep": ("sandbox.json", lambda text: "[" * 100000, "not valid JSON"),
     "task-nested-too-deep": ("task.json", lambda text: "[" * 100000, "not valid JSON"),
     "script-line-missing-field": ("script.jsonl", lambda text: '{"text": "x"}\n' + text, "bad script line 1"),

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from dualreflect.cli import main, resolve_config
-from dualreflect.model import task_to_dict
 from scenarios import (
     BROKEN_BUNDLES,
     case_study_registry,
@@ -17,6 +16,7 @@ from scenarios import (
     make_registry,
     make_task,
     step,
+    task_doc,
     write_broken_bundle,
     write_bundle,
 )
@@ -228,7 +228,7 @@ class TestValidate:
         assert "valid" in capsys.readouterr().out
 
     def test_invalid_task_file(self, tmp_path, capsys):
-        doc = task_to_dict(make_task(["alpha"]))
+        doc = task_doc(make_task(["alpha"]))
         doc["id"] = ""
         doc["tools"] *= 2
         path = tmp_path / "task.json"

@@ -3,7 +3,7 @@
 import json
 import shutil
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,6 @@ from dualreflect.harness import (
     load_bundle,
     load_suite,
     report,
-    suite_result_from_dict,
 )
 from dualreflect.model import (
     ExpectedCall,
@@ -226,6 +225,18 @@ class TestEvaluate:
             load_bundle(tmp_path / "t")
         assert str(tmp_path / "t" / name) in str(err.value) and message in str(err.value)
 
+    @pytest.mark.parametrize("name", ["task.json", "sandbox.json"])
+    def test_bundle_missing_file_is_a_suite_error(self, tmp_path, name):
+        write_bundle(tmp_path / "t", make_task(["alpha"], task_id="t"), make_registry(["alpha"]), passing_steps())
+        (tmp_path / "t" / name).unlink()
+        with pytest.raises(SuiteError) as err:
+            load_bundle(tmp_path / "t")
+        assert str(err.value) == f"{tmp_path / 't'}: missing {name}"
+
+    def test_missing_suite_directory_is_a_suite_error(self, tmp_path):
+        with pytest.raises(SuiteError, match="^suite directory not found: "):
+            load_suite(tmp_path / "absent")
+
     def test_script_parsed_once_per_bundle(self, tmp_path):
         write_bundle(tmp_path / "t", make_task(["alpha"], task_id="t"), make_registry(["alpha"]), passing_steps())
         bundle = load_bundle(tmp_path / "t")
@@ -276,20 +287,11 @@ class TestReport:
         paths = report(result, tmp_path / "out")
         for key in ("json", "text", "histograms", "runs"):
             assert paths[key].is_file()
-        parsed = suite_result_from_dict(json.loads(paths["json"].read_text(encoding="utf-8")))
-        assert parsed == result
+        assert json.loads(paths["json"].read_text(encoding="utf-8")) == json.loads(json.dumps(asdict(result)))
         runs_lines = paths["runs"].read_text(encoding="utf-8").strip().splitlines()
         assert len(runs_lines) == 1 + 3 * 2  # header + tasks x repeats
         hist_lines = paths["histograms"].read_text(encoding="utf-8").strip().splitlines()
         assert len(hist_lines) == 1 + 30  # header + 3 agents x 10 scores
-
-    def test_report_without_error_key_still_reads(self, tmp_path):
-        write_three_task_suite(tmp_path / "suite")
-        result = evaluate(tmp_path / "suite", CFG)
-        data = json.loads(report(result, tmp_path / "out")["json"].read_text(encoding="utf-8"))
-        for run in data["runs"]:
-            del run["error"]
-        assert suite_result_from_dict(data) == result
 
     def test_runs_csv_quotes_error_text(self, tmp_path):
         record = harness.RunRecord("t", 1, "aborted", False, 0, 0, None, 0, 0, 0, error='a, "b"\nc')
@@ -328,6 +330,37 @@ class TestPredicates:
         predicate = SuccessPredicate.expected_calls([ExpectedCall("alpha", {"q": "x"})])
         task, result = self.run_with_predicate(predicate)
         assert check_success(task, result) is True
+
+    def two_call_run(self):
+        """A run whose final round executed alpha{q: x} and alpha{q: y}."""
+        task = make_task(["alpha", "beta"], task_id="pred")
+        steps = [
+            step(planner_json([("n1", "s", "alpha"), ("n2", "s", "alpha")], 9)),
+            step(tool_json("alpha", {"q": "x"}, 9)),
+            step(tool_json("alpha", {"q": "y"}, 9)),
+            step(answer_json("done", 9)),
+        ]
+        return task, run_task(task, CFG, make_backend(steps), make_registry(["alpha", "beta"]))
+
+    @pytest.mark.parametrize("wildcard_first", [True, False])
+    def test_expected_calls_wildcard_leaves_parameterized_match(self, wildcard_first):
+        task, result = self.two_call_run()
+        payload = [ExpectedCall("alpha"), ExpectedCall("alpha", {"q": "x"})]
+        predicate = SuccessPredicate.expected_calls(payload if wildcard_first else payload[::-1])
+        assert check_success(replace(task, success_check=predicate), result) is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_expected_calls_verdict_ignores_payload_order(self, data):
+        task, result = self.two_call_run()
+        entries = st.sampled_from([None, {"q": "x"}, {"q": "y"}, {"q": "z"}]).map(lambda p: ExpectedCall("alpha", p))
+        payload = data.draw(st.lists(entries, min_size=1, max_size=4))
+        permuted = data.draw(st.permutations(payload))
+        verdicts = {
+            check_success(replace(task, success_check=SuccessPredicate.expected_calls(p)), result)
+            for p in (payload, permuted)
+        }
+        assert len(verdicts) == 1
 
     def test_expected_calls_parameter_mismatch_fails(self):
         predicate = SuccessPredicate.expected_calls([ExpectedCall("alpha", {"q": "y"})])

@@ -1,4 +1,6 @@
-"""Core type invariants, task validation, serialization."""
+"""Core type invariants, task validation, parsing."""
+
+import json
 
 import pytest
 
@@ -17,9 +19,8 @@ from dualreflect.model import (
     clamp_score,
     task_from_dict,
     task_from_json,
-    task_to_dict,
-    task_to_json,
 )
+from scenarios import task_doc
 
 
 def two_tool_task(**overrides):
@@ -123,14 +124,13 @@ class TestTaskJson:
                 [ExpectedCall("alpha", {"q": "x"}), ExpectedCall("alpha")]
             ),
         )
-        text = task_to_json(task)
-        parsed = task_from_json(text)
-        assert parsed == task
-        assert task_to_json(parsed) == text
+        assert task_from_dict(task_doc(task)) == task
+        assert task_from_json(json.dumps(task_doc(task))) == task
 
     def test_answer_contains_round_trip(self):
         task = two_tool_task(success_check=SuccessPredicate.answer_contains(["done", "128 EUR"]))
-        assert task_from_json(task_to_json(task)) == task
+        assert task_from_dict(task_doc(task)) == task
+        assert task_from_json(json.dumps(task_doc(task))) == task
 
     @pytest.mark.parametrize(
         "text",
@@ -164,7 +164,7 @@ class TestTaskJson:
             tools=(ToolSpec("alpha", "a", params),),
             success_check=SuccessPredicate.expected_calls([ExpectedCall("alpha")]),
         )
-        doc = task_to_dict(task)
+        doc = task_doc(task)
         edit(doc)
         with pytest.raises(ValueError, match=message):
             task_from_dict(doc)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -280,16 +281,17 @@ COMPLETIONS = st.text() | st.tuples(st.text(max_size=10), REPLIES, st.text(max_s
 )
 
 # Replies with every field of the right JSON type, so most of them reach a
-# typed value: the strings may be empty, node ids repeat, and a score may be
-# out of range, fractional or a bool. One reply carries the fields of all
-# three agents; each kind reads only its own.
+# typed value: the strings may be empty, node ids repeat, a score may be
+# out of range, fractional or a bool, and a parameter may be NaN or infinite.
+# One reply carries the fields of all three agents; each kind reads only its
+# own.
 SHORT = st.sampled_from(["", "a", "b", "ab", "ba"])
 SHAPED_NODES = st.fixed_dictionaries({"id": SHORT, "subtask": SHORT, "function": SHORT, "status": st.just(0)})
 SHAPED_REPLIES = st.fixed_dictionaries(
     {
         "nodes": st.lists(SHAPED_NODES, min_size=1, max_size=3),
         "function": SHORT,
-        "parameters": st.just({}),
+        "parameters": st.dictionaries(SHORT, st.floats(), max_size=2),
         "answer": SHORT,
         "intra_reflection": st.fixed_dictionaries(
             {"evaluation": SHORT, "score": st.integers(-1, 12) | st.floats(-1, 12) | st.booleans()}
@@ -327,6 +329,7 @@ class TestModelOutputBoundary:
                     assert nonempty_str(node.id) and nonempty_str(node.subtask) and nonempty_str(node.function)
             elif isinstance(value, ToolCall):
                 assert nonempty_str(value.function)
+                json.dumps(value.parameters, allow_nan=False)
             else:
                 assert nonempty_str(value.text)
 
@@ -341,6 +344,22 @@ class TestModelOutputBoundary:
         with pytest.raises(SchemaError) as err:
             validate_output(extract_json(raw), OutputKind.ANSWER)
         assert err.value.problems == (message,)
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "[[1e400]]"])
+    def test_non_finite_parameter_is_schema_error(self, literal):
+        raw = '{"function": "f", "parameters": {"q": %s}, "intra_reflection": {"evaluation": "e", "score": 9}}' % literal
+        with pytest.raises(SchemaError) as err:
+            validate_output(extract_json(raw), OutputKind.TOOL)
+        assert err.value.problems == ("parameters: expected finite numbers",)
+
+    def test_deep_finite_parameter_is_accepted(self):
+        # extract_json accepts nests almost as deep as the recursion limit;
+        # this one is deeper, so a recursive walk could not check it.
+        nest = 1.5
+        for _ in range(sys.getrecursionlimit()):
+            nest = [nest]
+        value = {"function": "f", "parameters": {"q": nest}, "intra_reflection": {"evaluation": "e", "score": 9}}
+        assert isinstance(validate_output(value, OutputKind.TOOL), ToolCall)
 
     def test_nan_scored_reply_costs_one_parse_retry(self):
         nodes = [("n1", "use alpha once", "alpha")]

@@ -195,8 +195,7 @@ class TestLoadRegistry:
         path = tmp_path / "sandbox.json"
         path.write_text(json.dumps(SUITE_DOC), encoding="utf-8")
         registry = load_registry(path)
-        assert len(registry) == 2
-        assert {t.name for t in registry.tool_specs()} == {"weather", "booker"}
+        assert [t.name for t in registry.tool_specs()] == ["weather", "booker"]
 
     def test_stateful_fail_then_succeed_honored(self, tmp_path):
         path = tmp_path / "sandbox.json"
