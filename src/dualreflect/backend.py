@@ -202,7 +202,7 @@ class ScriptedBackend(ChatBackend):
             want = canonical_request(step.request).encode("utf-8")
             got = canonical_request(request).encode("utf-8")
             if got != want:
-                offset = _first_divergence(want, got)
+                offset = len(os.path.commonprefix([want, got]))
                 raise ReplayMismatch(
                     offset,
                     f"request {self._cursor + 1} diverged from the recording at byte {offset}: "
@@ -442,13 +442,6 @@ class RecordingBackend(ChatBackend):
         with self._path.open("a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         return response
-
-
-def _first_divergence(want: bytes, got: bytes) -> int:
-    for i, (a, b) in enumerate(zip(want, got)):
-        if a != b:
-            return i
-    return min(len(want), len(got))
 
 
 def _excerpt(data: bytes, offset: int, width: int = 24) -> str:

@@ -190,6 +190,9 @@ class SuiteResult:
 
 BackendFactory = Callable[[TaskBundle], ChatBackend]
 
+#: The ``RunRecord`` columns copied by name from the run's ``run_end`` event.
+_RUN_END_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name not in ("task_id", "repeat", "passed"))
+
 
 def _run_cell(
     bundle: TaskBundle, repeat: int, config: RunConfig, factory: BackendFactory
@@ -203,19 +206,8 @@ def _run_cell(
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         return RunRecord(bundle.task.id, repeat, RunStatus.ABORTED.value, False, 0, 0, None, 0, 0, 0, error=error), []
-    record = RunRecord(
-        task_id=bundle.task.id,
-        repeat=repeat,
-        status=result.status.value,
-        passed=passed,
-        rounds_used=result.rounds_used,
-        final_round=result.final_round,
-        answer_score=None if result.final_answer is None else result.final_answer.reflection.score,
-        prompt_tokens=result.token_totals.prompt_tokens,
-        completion_tokens=result.token_totals.completion_tokens,
-        backend_calls=result.token_totals.calls,
-        error=result.error,
-    )
+    summary = {name: result.events[-1].get(name) for name in _RUN_END_COLUMNS}
+    record = RunRecord(bundle.task.id, repeat, passed=passed, **summary)
     return record, [(e["agent"], e["score"]) for e in result.events if e["kind"] == "agent_output"]
 
 

@@ -56,7 +56,6 @@ EVENT_KINDS = (
 
 
 class RunStatus(str, Enum):
-    RUNNING = "running"
     ACCEPTED = "accepted"
     EXHAUSTED = "exhausted"
     ABORTED = "aborted"
@@ -133,35 +132,29 @@ class TaskRun:
         self.session = registry.session()
         self.ltm = LongTermMemory()
         self.stm = ShortTermMemory()
-        self.status = RunStatus.RUNNING
-        self.trajectory: list[TrajectoryStep] = []
         self.runner = AgentRunner(task, backend, config, self.trace.emit)
         self._best: tuple[FinalAnswer, int] | None = None
-        self._error: str | None = None
 
     def run(self) -> RunResult:
         try:
-            while self.status is RunStatus.RUNNING:
-                if self.trace.round >= self.config.max_rounds:
-                    self.status = RunStatus.EXHAUSTED
-                    break
-                self.run_round()
+            for _ in range(self.config.max_rounds):
+                if self.run_round():
+                    return self._finish(RunStatus.ACCEPTED)
         except (BackendError, ParseExhausted) as exc:
-            self.status = RunStatus.ABORTED
-            self._error = str(exc)
-        return self._finish()
+            return self._finish(RunStatus.ABORTED, str(exc))
+        return self._finish(RunStatus.EXHAUSTED)
 
-    def run_round(self) -> None:
+    def run_round(self) -> bool:
         """One plan -> execute -> answer cycle; its ``round_end`` event
         records the outcome (``accepted``, ``rejected``, or
-        ``execution_failure``)."""
+        ``execution_failure``). Returns True when its answer passed."""
         config = self.config
         self.trace.round += 1
         self.trace.emit("round_start")
 
         plan_out = self.runner.plan(self.ltm)
         plan = plan_out.accepted
-        self.trajectory = []
+        trajectory: list[TrajectoryStep] = []
         related: list[tuple[str, str]] = []
         failure: str | None = None
 
@@ -188,7 +181,7 @@ class TaskRun:
                     divergence=call.function != node.function,
                 )
                 step = TrajectoryStep(node.id, call, result, attempt)
-                self.trajectory.append(step)
+                trajectory.append(step)
                 if result.status is ExecutionStatus.OK:
                     related.append((node.id, result.payload))
                     cleared = self.stm.reset()
@@ -218,40 +211,41 @@ class TaskRun:
         }
 
         if failure is not None:
-            self._store_round(plan, failure)
+            self._store_round(plan, trajectory, failure)
             self.trace.emit("round_end", outcome="execution_failure", **base_fields)
-            return
+            return False
 
-        answer_out = self.runner.answer(plan, self.trajectory)
+        answer_out = self.runner.answer(plan, trajectory)
         answer = answer_out.accepted
         if self._best is None or answer.reflection.score > self._best[0].reflection.score:
             self._best = (answer, self.trace.round)
         if answer_out.passed:
-            self.status = RunStatus.ACCEPTED
             self.trace.emit(
                 "round_end", outcome="accepted", answer_score=answer.reflection.score, **base_fields
             )
-            return
+            return True
         self._store_round(
             plan,
+            trajectory,
             f"Answer (score {answer.reflection.score}/10): {answer.text}\n"
             f"Evaluation: {answer.reflection.evaluation}",
         )
         self.trace.emit("round_end", outcome="rejected", answer_score=answer.reflection.score, **base_fields)
+        return False
 
-    def _store_round(self, plan: Plan, inter_reflection: str) -> None:
-        self.ltm.append(LTMRecord(plan, tuple(self.trajectory), inter_reflection))
+    def _store_round(self, plan: Plan, trajectory: list[TrajectoryStep], inter_reflection: str) -> None:
+        self.ltm.append(LTMRecord(plan, tuple(trajectory), inter_reflection))
         self.trace.emit("ltm_append", round_index=self.trace.round, records=len(self.ltm.records))
 
-    def _finish(self) -> RunResult:
+    def _finish(self, status: RunStatus, error: str | None = None) -> RunResult:
         cleared = self.stm.reset()
         self.trace.emit("stm_reset", node=self.stm.node_id, reason="run_end", cleared=cleared)
-        self.trace.emit("ltm_reset", reason=self.status.value, cleared=self.ltm.reset())
+        self.trace.emit("ltm_reset", reason=status.value, cleared=self.ltm.reset())
 
         answer, final_round = (None, 0) if self._best is None else self._best
         totals = fold_event_tokens(self.trace.events)
         end_fields: dict[str, Any] = {
-            "status": self.status.value,
+            "status": status.value,
             "rounds_used": self.trace.round,
             "final_round": final_round,
             "prompt_tokens": totals.prompt_tokens,
@@ -260,17 +254,17 @@ class TaskRun:
         }
         if answer is not None:
             end_fields["answer_score"] = answer.reflection.score
-        if self._error is not None:
-            end_fields["error"] = self._error
+        if error is not None:
+            end_fields["error"] = error
         self.trace.emit("run_end", **end_fields)
         return RunResult(
-            status=self.status,
+            status=status,
             final_answer=answer,
             final_round=final_round,
             rounds_used=self.trace.round,
             token_totals=totals,
             events=tuple(self.trace.events),
-            error=self._error,
+            error=error,
         )
 
 

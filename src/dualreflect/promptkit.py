@@ -240,24 +240,43 @@ class OutputKind(str, Enum):
     ANSWER = "answer"
 
 
-def _nonempty_str(value: Any) -> bool:
-    return isinstance(value, str) and bool(value)
+_SURROGATE_PROBLEM = "holds a lone surrogate, which is not UTF-8 text"
 
 
-def _all_finite(value: Any) -> bool:
-    """False if a float at any depth of ``value`` is NaN or infinite, which no
-    trace line can hold. Iterative: ``extract_json`` accepts nests deeper than
-    the recursion limit."""
+def _encodes(text: str) -> bool:
+    """False for a string with a lone surrogate: ``extract_json`` decodes a
+    ``\\ud800`` escape to one, and no prompt or trace line can hold it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _text_problem(value: Any) -> str | None:
+    """Why an agent output cannot keep ``value`` as text, or None."""
+    if not isinstance(value, str) or not value:
+        return "expected a non-empty string"
+    return None if value.isascii() or _encodes(value) else _SURROGATE_PROBLEM
+
+
+def _parameters_problem(value: Any) -> str | None:
+    """Why no trace line can hold ``value``: a NaN or infinite float, or a key
+    or string with a lone surrogate, at any depth. Iterative: ``extract_json``
+    accepts nests deeper than the recursion limit."""
     stack = [value]
     while stack:
         item = stack.pop()
         if isinstance(item, float) and not math.isfinite(item):
-            return False
+            return "parameters: expected finite numbers"
+        if isinstance(item, str) and not item.isascii() and not _encodes(item):
+            return f"parameters: {_SURROGATE_PROBLEM}"
         if isinstance(item, dict):
+            stack.extend(item)
             stack.extend(item.values())
         elif isinstance(item, list):
             stack.extend(item)
-    return True
+    return None
 
 
 def _reflection_from(raw: Any, problems: list[str]) -> IntraReflection | None:
@@ -266,8 +285,8 @@ def _reflection_from(raw: Any, problems: list[str]) -> IntraReflection | None:
         problems.append("intra_reflection: expected an object with evaluation and score")
         return None
     evaluation = raw.get("evaluation")
-    if not _nonempty_str(evaluation):
-        local.append("intra_reflection.evaluation: expected a non-empty string")
+    if problem := _text_problem(evaluation):
+        local.append(f"intra_reflection.evaluation: {problem}")
     score_raw = raw.get("score")
     if isinstance(score_raw, bool) or not isinstance(score_raw, (int, float)):
         local.append("intra_reflection.score: expected a number")
@@ -303,20 +322,13 @@ def validate_output(value: Any, kind: OutputKind) -> Plan | ToolCall | FinalAnsw
                 subtask = raw.get("subtask")
                 function = raw.get("function")
                 status = raw.get("status")
-                bad = False
-                if not _nonempty_str(node_id):
-                    problems.append(f"nodes[{i}].id: expected a non-empty string")
-                    bad = True
-                if not _nonempty_str(subtask):
-                    problems.append(f"nodes[{i}].subtask: expected a non-empty string")
-                    bad = True
-                if not _nonempty_str(function):
-                    problems.append(f"nodes[{i}].function: expected a non-empty string")
-                    bad = True
+                before = len(problems)
+                for name, text in (("id", node_id), ("subtask", subtask), ("function", function)):
+                    if problem := _text_problem(text):
+                        problems.append(f"nodes[{i}].{name}: {problem}")
                 if isinstance(status, bool) or status != NodeStatus.PENDING.value:
                     problems.append(f"nodes[{i}].status: expected 0 (pending)")
-                    bad = True
-                if not bad:
+                if len(problems) == before:
                     if node_id in seen:
                         problems.append(f"nodes: duplicate id {node_id!r}")
                     else:
@@ -330,20 +342,20 @@ def validate_output(value: Any, kind: OutputKind) -> Plan | ToolCall | FinalAnsw
     if kind is OutputKind.TOOL:
         function = value.get("function")
         parameters = value.get("parameters")
-        if not _nonempty_str(function):
-            problems.append("function: expected a non-empty string")
+        if problem := _text_problem(function):
+            problems.append(f"function: {problem}")
         if not isinstance(parameters, dict) or not all(isinstance(k, str) for k in parameters):
             problems.append("parameters: expected an object keyed by parameter name")
-        elif not _all_finite(parameters):
-            problems.append("parameters: expected finite numbers")
+        elif problem := _parameters_problem(parameters):
+            problems.append(problem)
         reflection = _reflection_from(value.get("intra_reflection"), problems)
         if problems:
             raise SchemaError(problems)
         return ToolCall(function=function, parameters=dict(parameters), reflection=reflection)
 
     answer = value.get("answer")
-    if not _nonempty_str(answer):
-        problems.append("answer: expected a non-empty string")
+    if problem := _text_problem(answer):
+        problems.append(f"answer: {problem}")
     reflection = _reflection_from(value.get("intra_reflection"), problems)
     if problems:
         raise SchemaError(problems)

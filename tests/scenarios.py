@@ -453,6 +453,26 @@ BROKEN_BUNDLES = {
         ) + "\n",
         "bad script line 2: request user holds a lone surrogate",
     ),
+    "task-parameter-name-empty": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0]["parameters"][0].update(name="")),
+        "tools[0].parameters[0].name: must be non-empty",
+    ),
+    "task-parameter-unknown-kind": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0]["parameters"][0].update(kind="date")),
+        "parameter 'q' has a missing or unknown kind",
+    ),
+    "task-tool-without-description": (
+        "task.json",
+        _edit_json(lambda d: d["tools"][0].pop("description")),
+        "tool entry missing field 'description'",
+    ),
+    "task-success-check-not-object": (
+        "task.json",
+        _edit_json(lambda d: d.update(success_check=5)),
+        "success_check must be an object with a 'kind' field",
+    ),
     "task-not-object": ("task.json", lambda text: "[]", "task document must be a JSON object"),
     "task-tool-not-object": ("task.json", _edit_json(lambda d: d["tools"].append(5)), "tool entry must be an object"),
     "task-parameters-not-array": (
@@ -482,6 +502,7 @@ BROKEN_BUNDLES = {
             ("expected-call-not-object", "expected_calls", [5], "expected call entries must be objects"),
             ("expected-call-no-function", "expected_calls", [{"function": ""}], "payload[0]: expected call must name"),
             ("answer-contains-not-array", "answer_contains", "x", "answer_contains payload must be an array"),
+            ("answer-contains-empty-substring", "answer_contains", [""], "expected a non-empty list of non-empty"),
             ("all-nodes-succeeded-payload", "all_nodes_succeeded", [1], "payload: must be empty for this predicate"),
         ]
     },
@@ -490,6 +511,11 @@ BROKEN_BUNDLES = {
         "sandbox.json",
         _edit_json(lambda d: d["tools"][0].pop("default")),
         "tools[0]: expected an object with spec and default",
+    ),
+    "sandbox-default-not-object": (
+        "sandbox.json",
+        _edit_json(lambda d: d["tools"][0].update(default=5)),
+        "tools[0].default: expected an object with status and payload",
     ),
     "sandbox-duplicate-tool": (
         "sandbox.json",
@@ -506,10 +532,18 @@ BROKEN_BUNDLES = {
             ("rule-not-object", 5, ": expected an object with when/result"),
             ("when-not-object", {"when": 5, "result": {}}, ".when: expected an object"),
             ("when-params-not-object", {"when": {"params": 5}, "result": {}}, ".when.params: expected an object"),
+            ("call-index-zero", {"when": {"call_index": 0}, "result": {}}, ".when.call_index: expected an integer >= 1"),
         ]
     },
     "sandbox-nested-too-deep": ("sandbox.json", lambda text: "[" * 100000, "not valid JSON"),
     "task-nested-too-deep": ("task.json", lambda text: "[" * 100000, "not valid JSON"),
+    "script-request-empty-system": (
+        "script.jsonl",
+        lambda text: json.dumps(
+            {"text": "x", "prompt_tokens": 1, "completion_tokens": 1, "request": {"system": "", "user": "u"}}
+        ) + "\n" + text,
+        "bad script line 1: system and user prompts must be non-empty",
+    ),
     "script-line-missing-field": ("script.jsonl", lambda text: '{"text": "x"}\n' + text, "bad script line 1"),
     "script-line-nested-too-deep": ("script.jsonl", lambda text: text + "[" * 100000 + "\n", "bad script line 2"),
     **{

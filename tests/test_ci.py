@@ -36,6 +36,6 @@ def test_run_steps_name_existing_repo_paths():
         for step in job["steps"]
         for path in REPO_PATH.findall(step.get("run", ""))
     }
-    assert {"tests/no_http_stack.py", "perfbench/run.py", "suites/demo"} <= named
+    assert {"tests/no_http_stack.py", "tests/line_coverage.py", "perfbench/run.py", "suites/demo"} <= named
     missing = sorted(path for path in named if not (ROOT / path).exists())
     assert not missing, f"paths named in {WORKFLOW.name} do not exist: {missing}"

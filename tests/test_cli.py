@@ -73,6 +73,27 @@ class TestRun:
         trace = (tmp_path / "missing-dir" / "trace.jsonl").read_bytes()
         assert trace == (GOLDEN / "flaky-lookup.trace.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("task", ["city-day-trip", "flaky-lookup"])
+    def test_http_run_trace_equals_golden(self, tmp_path, capsys, monkeypatch, task):
+        from dualreflect.backend import script_from_jsonl
+        from http_stub import serve_script
+
+        steps = script_from_jsonl((DEMO_SUITE / task / "script.jsonl").read_text(encoding="utf-8"))
+        trace = tmp_path / "trace.jsonl"
+        with serve_script(steps) as (base_url, server):
+            monkeypatch.setenv("MIRROR_API_BASE", base_url)
+            code = main(["run", "--task", str(DEMO_SUITE / task), "--backend", "http", "--trace-out", str(trace)])
+            assert len(server.requests) == len(steps)
+        capsys.readouterr()
+        assert code == 0
+        assert trace.read_bytes() == (GOLDEN / f"{task}.trace.jsonl").read_bytes()
+
+    def test_scripted_run_without_script_exits_one(self, tmp_path, capsys):
+        write_bundle(tmp_path / "b", make_task(["alpha"], task_id="no-script"), make_registry(["alpha"]), steps=None)
+        assert main(["run", "--task", str(tmp_path / "b")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bundle has no script.jsonl" in err
+
     def test_run_aborting_bundle_exits_one(self, tmp_path, capsys):
         task = make_task(["alpha"], task_id="will-abort")
         write_bundle(tmp_path / "b", task, make_registry(["alpha"]), [step("not json")] * 3)

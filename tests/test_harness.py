@@ -3,7 +3,7 @@
 import json
 import shutil
 import weakref
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -308,6 +308,56 @@ class TestReport:
         assert "pass rate: n/a" in text
 
 
+def run_end_case(status):
+    """A task, registry, script and config whose run ends with ``status``."""
+    task = make_task(["alpha", "beta"], task_id=f"ends-{status.value}")
+    if status is RunStatus.ACCEPTED:
+        return task, make_registry(["alpha", "beta"]), passing_steps(), CFG
+    if status is RunStatus.EXHAUSTED:  # no round reaches an answer: final_round 0
+        steps = [step(planner_json([("n1", "s", "alpha")], 9)), step(tool_json("alpha", {"q": "x"}, 9))] * 2
+        cfg = RunConfig(max_rounds=2, subtask_retry_cap=1)
+        return task, make_registry(["alpha", "beta"], {"alpha": 2}), steps, cfg
+    if status is RunStatus.ABORTED:
+        return task, make_registry(["alpha", "beta"]), [step(GARBAGE)] * 3, CFG
+    raise AssertionError(f"no run ends with status {status.value!r}")
+
+
+class TestRunEndSummary:
+    @pytest.mark.parametrize("status", list(RunStatus), ids=lambda s: s.value)
+    def test_record_columns_are_the_run_end_fields(self, tmp_path, monkeypatch, status):
+        # Every status a run can end with; a renamed run_end field fails here
+        # instead of leaving its runs.csv column empty.
+        task, registry, steps, cfg = run_end_case(status)
+        results = []
+
+        def capturing_run_task(*args, **kwargs):
+            results.append(run_task(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "run_task", capturing_run_task)
+        bundle = harness.TaskBundle(task, registry, tuple(steps), tmp_path)
+        record, _ = harness._run_cell(bundle, 1, cfg, lambda b: b.make_backend())
+        (result,) = results
+        assert result.status is status
+
+        run_end = result.events[-1]
+        columns = {f.name for f in fields(harness.RunRecord)} - {"task_id", "repeat", "passed"}
+        keys = set(run_end) - {"kind", "round", "seq", "task"}
+        assert keys <= columns
+        assert columns - keys == {name for name in columns if getattr(record, name) is None}
+
+        answer_score = None if result.final_answer is None else result.final_answer.reflection.score
+        totals = result.token_totals
+        assert record == harness.RunRecord(
+            task.id, 1, result.status.value, check_success(task, result), result.rounds_used, result.final_round,
+            answer_score, totals.prompt_tokens, totals.completion_tokens, totals.calls, result.error,
+        )  # fmt: skip
+        if status is RunStatus.EXHAUSTED:
+            assert record.final_round == 0 and record.answer_score is None
+        if status is RunStatus.ABORTED:
+            assert record.error == "planner agent produced 3 unusable outputs in a row"
+
+
 class TestPredicates:
     def run_with_predicate(self, predicate, call_params=None):
         task = make_task(["alpha", "beta"], predicate=predicate, task_id="pred")
@@ -536,4 +586,5 @@ class TestBoundaryProperties:
         steps[i] = replace(steps[i], response=replace(steps[i].response, text=text))
         result = run_task(bundle.task, RunConfig(), ScriptedBackend(steps), bundle.registry)
         assert [e["kind"] for e in result.events].count("run_end") == 1
-        assert result.events[-1]["kind"] == "run_end" and result.status is not RunStatus.RUNNING
+        assert result.events[-1]["kind"] == "run_end"
+        assert result.status in (RunStatus.ACCEPTED, RunStatus.EXHAUSTED, RunStatus.ABORTED)

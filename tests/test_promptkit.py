@@ -58,6 +58,17 @@ class TestTemplates:
         mismatches = manifest_mismatches(tmp_path)
         assert len(mismatches) == 1 and "PlannerUser.txt" in mismatches[0]
 
+    def test_template_missing_from_manifest_detected(self, tmp_path):
+        import dualreflect
+
+        prompt_dir = Path(dualreflect.__file__).parent / "prompts"
+        for f in prompt_dir.iterdir():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+        manifest = tmp_path / "MANIFEST.sha256"
+        lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if "AnswerSystem.txt" not in line), encoding="utf-8")
+        assert manifest_mismatches(tmp_path) == ["AnswerSystem.txt: missing from manifest"]
+
     def test_load_rejects_wrong_slots(self, tmp_path):
         import dualreflect
 
@@ -232,6 +243,21 @@ class TestValidateOutput:
         with pytest.raises(SchemaError):
             validate_output([1, 2], OutputKind.ANSWER)
 
+    @pytest.mark.parametrize(
+        "kind, reply, problem",
+        [
+            (OutputKind.PLANNER, {"nodes": 5}, "nodes: expected an array"),
+            (OutputKind.PLANNER, {"nodes": [5]}, "nodes[0]: expected an object"),
+            (OutputKind.TOOL, {"function": "f", "parameters": [1]}, "parameters: expected an object keyed by parameter name"),
+            (OutputKind.ANSWER, {"answer": "done", "intra_reflection": 5}, "intra_reflection: expected an object with evaluation and score"),
+        ],
+        ids=["nodes", "node", "parameters", "intra_reflection"],
+    )  # fmt: skip
+    def test_mistyped_field_is_named(self, kind, reply, problem):
+        with pytest.raises(SchemaError) as err:
+            validate_output({"intra_reflection": {"evaluation": "e", "score": 9}, **reply}, kind)
+        assert err.value.problems == (problem,)
+
 
 class TestSlotBuilders:
     def test_tool_list_mentions_every_tool_and_param(self):
@@ -241,10 +267,12 @@ class TestSlotBuilders:
             [
                 ToolSpec("alpha", "does a", (ParamSpec("q", ParamKind.STRING, True, "query"),)),
                 ToolSpec("beta", "does b", (ParamSpec("mode", ParamKind.ENUM, False, "", ("x", "y")),)),
+                ToolSpec("gamma", "does c", ()),
             ]
         )
         assert "- alpha: does a" in text and "q (string, required): query" in text
         assert "enum[x|y]" in text
+        assert text.endswith("\n- gamma: does c\n  parameters: none")
 
     def test_related_outputs_sentinel_and_order(self):
         assert render_related_outputs([]) == "No completed subtasks yet."
@@ -281,11 +309,12 @@ COMPLETIONS = st.text() | st.tuples(st.text(max_size=10), REPLIES, st.text(max_s
 )
 
 # Replies with every field of the right JSON type, so most of them reach a
-# typed value: the strings may be empty, node ids repeat, a score may be
-# out of range, fractional or a bool, and a parameter may be NaN or infinite.
+# typed value: the strings may be empty or hold a lone surrogate, node ids
+# repeat, a score may be out of range, fractional or a bool, and a parameter
+# may be NaN or infinite.
 # One reply carries the fields of all three agents; each kind reads only its
 # own.
-SHORT = st.sampled_from(["", "a", "b", "ab", "ba"])
+SHORT = st.sampled_from(["", "a", "b", "ab", "ba", "a\ud800"])
 SHAPED_NODES = st.fixed_dictionaries({"id": SHORT, "subtask": SHORT, "function": SHORT, "status": st.just(0)})
 SHAPED_REPLIES = st.fixed_dictionaries(
     {
@@ -301,6 +330,8 @@ SHAPED_REPLIES = st.fixed_dictionaries(
 
 NOT_FINITE = "intra_reflection.score: expected a finite number"
 NOT_A_NUMBER = "intra_reflection.score: expected a number"
+# json.dumps writes it as the ASCII escape a model could send.
+LONE = "a\udc00b"
 
 
 def nonempty_str(value):
@@ -322,16 +353,21 @@ class TestModelOutputBoundary:
             score = value.reflection.score
             assert nonempty_str(value.reflection.evaluation)
             assert type(score) is int and 1 <= score <= 10
+            kept = [value.reflection.evaluation]
             if isinstance(value, Plan):
                 ids = [node.id for node in value.nodes]
                 assert len(set(ids)) == len(ids)
                 for node in value.nodes:
                     assert nonempty_str(node.id) and nonempty_str(node.subtask) and nonempty_str(node.function)
+                    kept += [node.id, node.subtask, node.function]
             elif isinstance(value, ToolCall):
                 assert nonempty_str(value.function)
-                json.dumps(value.parameters, allow_nan=False)
+                kept += [value.function, value.parameters]
             else:
                 assert nonempty_str(value.text)
+                kept.append(value.text)
+            # Every prompt and trace line that quotes the value can be written.
+            json.dumps(kept, ensure_ascii=False, allow_nan=False).encode("utf-8")
 
     @pytest.mark.parametrize(
         "literal, message",
@@ -351,6 +387,52 @@ class TestModelOutputBoundary:
         with pytest.raises(SchemaError) as err:
             validate_output(extract_json(raw), OutputKind.TOOL)
         assert err.value.problems == ("parameters: expected finite numbers",)
+
+    @pytest.mark.parametrize(
+        "kind, reply, field",
+        [
+            (OutputKind.PLANNER, {"nodes": [{"id": LONE, "status": 0, "subtask": "s", "function": "f"}]}, "nodes[0].id"),
+            (OutputKind.PLANNER, {"nodes": [{"id": "n", "status": 0, "subtask": LONE, "function": "f"}]}, "nodes[0].subtask"),
+            (OutputKind.PLANNER, {"nodes": [{"id": "n", "status": 0, "subtask": "s", "function": LONE}]}, "nodes[0].function"),
+            (OutputKind.ANSWER, {"answer": "done", "intra_reflection": {"evaluation": LONE, "score": 9}}, "intra_reflection.evaluation"),
+            (OutputKind.TOOL, {"function": LONE, "parameters": {}}, "function"),
+            (OutputKind.TOOL, {"function": "f", "parameters": {LONE: 1}}, "parameters"),
+            (OutputKind.TOOL, {"function": "f", "parameters": {"q": [{"r": LONE}]}}, "parameters"),
+            (OutputKind.ANSWER, {"answer": LONE}, "answer"),
+        ],
+        ids=["node-id", "node-subtask", "node-function", "evaluation", "function", "parameter-name", "parameter-value", "answer"],
+    )  # fmt: skip
+    def test_lone_surrogate_is_schema_error(self, kind, reply, field):
+        raw = json.dumps({"intra_reflection": {"evaluation": "e", "score": 9}, **reply})
+        assert raw.isascii()  # the backend takes it; extract_json decodes the escape
+        with pytest.raises(SchemaError) as err:
+            validate_output(extract_json(raw), kind)
+        assert err.value.problems == (f"{field}: holds a lone surrogate, which is not UTF-8 text",)
+
+    @pytest.mark.parametrize(
+        "index, reply",
+        [
+            # Rejected: the revision prompt would quote the evaluation.
+            pytest.param(0, planner_json([("n1", "use alpha once", "alpha")], 5, evaluation=LONE), id="plan-evaluation"),
+            # Executed: the trace line would hold the parameter.
+            pytest.param(1, tool_json("alpha", {"q": LONE}, 9), id="tool-parameter"),
+        ],
+    )
+    def test_lone_surrogate_reply_costs_one_parse_retry(self, tmp_path, index, reply):
+        steps = [
+            step(planner_json([("n1", "use alpha once", "alpha")], 9)),
+            step(tool_json("alpha", {"q": "x"}, 9)),
+            step(answer_json("the final summary", 9)),
+        ]
+        steps.insert(index, step(reply))
+        backend = make_backend(steps)
+        trace = tmp_path / "trace.jsonl"
+        result = run_task(make_task(["alpha"]), RunConfig(), backend, make_registry(["alpha"]), trace_path=trace)
+        assert result.status is RunStatus.ACCEPTED
+        retried = [e["agent"] for e in result.events if e["kind"] == "agent_call" and e["parse_try"] == 1]
+        assert retried == [("planner", "tool")[index]]
+        assert "holds a lone surrogate, which is not UTF-8 text" in backend.requests[index + 1].user
+        assert trace.read_text(encoding="utf-8") == result.trace_jsonl()
 
     def test_deep_finite_parameter_is_accepted(self):
         # extract_json accepts nests almost as deep as the recursion limit;

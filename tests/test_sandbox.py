@@ -82,6 +82,7 @@ class TestExecute:
             ({"city": "P", "date": "d", "days": True}, "wrong type for parameter days: expected number"),
             ({"city": "P", "date": "d", "detailed": "yes"}, "wrong type for parameter detailed: expected boolean"),
             ({"city": "P", "date": "d", "units": "fahrenheit"}, "expected one of metric, imperial"),
+            ({"city": "P", "date": "d", "units": 3}, "wrong type for parameter units: expected enum"),
         ],
     )
     def test_strict_kind_checking(self, params, fragment):
