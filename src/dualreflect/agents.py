@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .backend import ChatBackend, ChatRequest
 from .memory import LongTermMemory, ShortTermMemory
-from .model import FinalAnswer, Plan, PlanNode, RunConfig, TaskSpec, ToolCall
+from .model import FinalAnswer, Plan, PlanNode, RunConfig, TaskSpec, ToolCall, Value, _set
 from .promptkit import (
     MalformedJson,
     NoJsonFound,
@@ -53,8 +52,7 @@ class ParseExhausted(Exception):
         self.tries = tries
 
 
-@dataclass(frozen=True)
-class GateOutcome(Generic[T]):
+class GateOutcome(Value, Generic[T]):
     """What came out of a gated invocation.
 
     ``passed`` is the gate verdict for the accepted value. When every attempt
@@ -62,10 +60,12 @@ class GateOutcome(Generic[T]):
     False: a planner or tool output then proceeds forced, and a rejected
     answer hands the round to inter-reflection.
     """
+    __slots__ = ("accepted", "attempts", "passed")
 
-    accepted: T
-    attempts: int
-    passed: bool
+    def __init__(self, accepted: T, attempts: int, passed: bool) -> None:
+        _set(self, "accepted", accepted)
+        _set(self, "attempts", attempts)
+        _set(self, "passed", passed)
 
 
 def gate(score: int, threshold: int) -> bool:

@@ -20,12 +20,11 @@ import math
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 from urllib.parse import SplitResult, unquote, urlsplit
 
-from .model import _text
+from .model import Value, _set, _text, as_dict
 
 if TYPE_CHECKING:
     import http.client
@@ -81,40 +80,40 @@ class ReplayMismatch(BackendError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class ChatRequest(Value):
     """One system+user prompt pair bound for a chat-completion endpoint."""
+    __slots__ = ("system", "user", "model", "temperature")
 
-    system: str
-    user: str
-    model: str = "scripted"
-    temperature: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.system or not self.user:
+    def __init__(self, system: str, user: str, model: str = "scripted", temperature: float = 0.0) -> None:
+        if not system or not user:
             raise ValueError("system and user prompts must be non-empty")
+        _set(self, "system", system)
+        _set(self, "user", user)
+        _set(self, "model", model)
+        _set(self, "temperature", temperature)
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(Value):
     """Raw completion text plus the exact token counts reported for it."""
+    __slots__ = ("text", "prompt_tokens", "completion_tokens")
 
-    text: str
-    prompt_tokens: int
-    completion_tokens: int
-
-    def __post_init__(self) -> None:
-        _text(self.text, "completion text")
-        for count in (self.prompt_tokens, self.completion_tokens):
+    def __init__(self, text: str, prompt_tokens: int, completion_tokens: int) -> None:
+        _text(text, "completion text")
+        for count in (prompt_tokens, completion_tokens):
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise ValueError(f"token counts must be non-negative integers, got {count!r}")
+        _set(self, "text", text)
+        _set(self, "prompt_tokens", prompt_tokens)
+        _set(self, "completion_tokens", completion_tokens)
 
 
-@dataclass(frozen=True)
-class TokenTotals:
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    calls: int = 0
+class TokenTotals(Value):
+    __slots__ = ("prompt_tokens", "completion_tokens", "calls")
+
+    def __init__(self, prompt_tokens: int = 0, completion_tokens: int = 0, calls: int = 0) -> None:
+        _set(self, "prompt_tokens", prompt_tokens)
+        _set(self, "completion_tokens", completion_tokens)
+        _set(self, "calls", calls)
 
 
 def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
@@ -131,7 +130,7 @@ def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
 
 def canonical_request(request: ChatRequest) -> str:
     """Stable JSON form used for replay comparison, byte for byte."""
-    return json.dumps(asdict(request), sort_keys=True, ensure_ascii=False)
+    return json.dumps(as_dict(request), sort_keys=True, ensure_ascii=False)
 
 
 class ChatBackend:
@@ -162,14 +161,15 @@ class ChatBackend:
             return self._totals
 
 
-@dataclass(frozen=True)
-class ScriptStep:
+class ScriptStep(Value):
     """One pre-authored completion. A step with a ``request`` (every step of a
     capture has one) answers only a request equal to it, or identical to it in
     canonical form."""
+    __slots__ = ("response", "request")
 
-    response: ChatResponse
-    request: ChatRequest | None = None
+    def __init__(self, response: ChatResponse, request: ChatRequest | None = None) -> None:
+        _set(self, "response", response)
+        _set(self, "request", request)
 
 
 class ScriptedBackend(ChatBackend):
@@ -438,7 +438,7 @@ class RecordingBackend(ChatBackend):
 
     def _complete(self, request: ChatRequest) -> ChatResponse:
         response = self._inner.complete(request)
-        line = json.dumps({**asdict(response), "request": asdict(request)}, sort_keys=True, ensure_ascii=False)
+        line = json.dumps({**as_dict(response), "request": as_dict(request)}, sort_keys=True, ensure_ascii=False)
         with self._path.open("a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         return response

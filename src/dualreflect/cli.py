@@ -17,13 +17,12 @@ import argparse
 import json
 import sys
 from contextlib import ExitStack, closing
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from .backend import ChatBackend, HttpBackend, RecordingBackend, ScriptedBackend, script_from_jsonl
 from .harness import SuiteError, check_success, evaluate, load_bundle, load_suite, report
-from .model import RunConfig, task_from_json
+from .model import RunConfig, Thresholds, as_dict, task_from_json
 from .orchestrator import RunResult, RunStatus, run_task
 
 __all__ = ["main", "build_parser", "resolve_config"]
@@ -98,8 +97,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     def flags(*names: str) -> dict[str, int]:
         return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
-    thresholds = replace(config.thresholds, **flags("theta_p", "theta_t", "theta_a"))
-    return replace(config, thresholds=thresholds, **flags("max_rounds"))
+    thresholds = Thresholds(**{**as_dict(config.thresholds), **flags("theta_p", "theta_t", "theta_a")})
+    return RunConfig(**{**as_dict(config), "thresholds": thresholds, **flags("max_rounds")})
 
 
 def _print_result(task_id: str, result: RunResult, passed: bool) -> None:

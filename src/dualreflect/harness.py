@@ -10,12 +10,11 @@ CSVs for external plotting.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable
 
 from .backend import ChatBackend, ScriptedBackend, ScriptStep, script_from_jsonl
-from .model import PredicateKind, RunConfig, TaskSpec, task_from_json
+from .model import PredicateKind, RunConfig, TaskSpec, Value, _set, as_dict, task_from_json
 from .orchestrator import RunResult, RunStatus, run_task
 from .sandbox import SandboxRegistry, load_registry
 
@@ -45,15 +44,16 @@ class SuiteError(Exception):
     """A suite or bundle cannot be loaded or does not validate."""
 
 
-@dataclass(frozen=True)
-class TaskBundle:
+class TaskBundle(Value):
     """One runnable task: its spec, sandbox registry, and optional script,
     parsed once at load and shared read-only by every run."""
+    __slots__ = ("task", "registry", "script", "root")
 
-    task: TaskSpec
-    registry: SandboxRegistry
-    script: tuple[ScriptStep, ...] | None
-    root: Path
+    def __init__(self, task: TaskSpec, registry: SandboxRegistry, script: tuple[ScriptStep, ...] | None, root: Path):
+        _set(self, "task", task)
+        _set(self, "registry", registry)
+        _set(self, "script", script)
+        _set(self, "root", root)
 
     @property
     def script_path(self) -> Path | None:
@@ -149,49 +149,57 @@ def check_success(task: TaskSpec, result: RunResult) -> bool:
     return not executed
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(Value):
     """Summary of one (task, repeat) cell. ``error`` says why an aborted run
     stopped; a cell whose backend or run raised is aborted with no tokens."""
+    __slots__ = ("task_id", "repeat", "status", "passed", "rounds_used", "final_round", "answer_score",
+                 "prompt_tokens", "completion_tokens", "backend_calls", "error")
 
-    task_id: str
-    repeat: int
-    status: str
-    passed: bool
-    rounds_used: int
-    final_round: int
-    answer_score: int | None
-    prompt_tokens: int
-    completion_tokens: int
-    backend_calls: int
-    error: str | None = None
+    def __init__(self, task_id: str, repeat: int, status: str, passed: bool, rounds_used: int, final_round: int,
+                 answer_score: int | None, prompt_tokens: int, completion_tokens: int, backend_calls: int,
+                 error: str | None = None) -> None:
+        _set(self, "task_id", task_id)
+        _set(self, "repeat", repeat)
+        _set(self, "status", status)
+        _set(self, "passed", passed)
+        _set(self, "rounds_used", rounds_used)
+        _set(self, "final_round", final_round)
+        _set(self, "answer_score", answer_score)
+        _set(self, "prompt_tokens", prompt_tokens)
+        _set(self, "completion_tokens", completion_tokens)
+        _set(self, "backend_calls", backend_calls)
+        _set(self, "error", error)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Value):
     """Aggregates over a whole suite evaluation.
 
     ``pass_rate`` is the mean of per-repeat pass percentages (population
     stdev in ``pass_rate_stdev``); both are None for an empty suite. Token
     figures are exact sums over the runs' trace events.
     """
+    __slots__ = ("schema_version", "repeats", "task_ids", "runs", "pass_rate", "pass_rate_per_repeat",
+                 "pass_rate_stdev", "tokens_total", "tokens_mean_per_run", "histograms")
 
-    schema_version: int
-    repeats: int
-    task_ids: tuple[str, ...]
-    runs: tuple[RunRecord, ...]
-    pass_rate: float | None
-    pass_rate_per_repeat: tuple[float, ...]
-    pass_rate_stdev: float | None
-    tokens_total: int
-    tokens_mean_per_run: float | None
-    histograms: dict[str, tuple[int, ...]]
+    def __init__(self, schema_version: int, repeats: int, task_ids: tuple[str, ...], runs: tuple[RunRecord, ...],
+                 pass_rate: float | None, pass_rate_per_repeat: tuple[float, ...], pass_rate_stdev: float | None,
+                 tokens_total: int, tokens_mean_per_run: float | None, histograms: dict[str, tuple[int, ...]]) -> None:
+        _set(self, "schema_version", schema_version)
+        _set(self, "repeats", repeats)
+        _set(self, "task_ids", task_ids)
+        _set(self, "runs", runs)
+        _set(self, "pass_rate", pass_rate)
+        _set(self, "pass_rate_per_repeat", pass_rate_per_repeat)
+        _set(self, "pass_rate_stdev", pass_rate_stdev)
+        _set(self, "tokens_total", tokens_total)
+        _set(self, "tokens_mean_per_run", tokens_mean_per_run)
+        _set(self, "histograms", histograms)
 
 
 BackendFactory = Callable[[TaskBundle], ChatBackend]
 
 #: The ``RunRecord`` columns copied by name from the run's ``run_end`` event.
-_RUN_END_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name not in ("task_id", "repeat", "passed"))
+_RUN_END_COLUMNS = tuple(name for name in RunRecord.__slots__ if name not in ("task_id", "repeat", "passed"))
 
 
 def _run_cell(
@@ -309,7 +317,7 @@ def report(result: SuiteResult, out_dir: Path | str) -> dict[str, Path]:
         "histograms": out / "histograms.csv",
         "runs": out / "runs.csv",
     }
-    paths["json"].write_text(json.dumps(asdict(result), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    paths["json"].write_text(json.dumps(as_dict(result), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     paths["text"].write_text(_text_table(result), encoding="utf-8")
 
     hist_lines = ["agent,score,count"]
@@ -318,9 +326,8 @@ def report(result: SuiteResult, out_dir: Path | str) -> dict[str, Path]:
             hist_lines.append(f"{agent},{score},{count}")
     paths["histograms"].write_text("\n".join(hist_lines) + "\n", encoding="utf-8")
 
-    columns = [f.name for f in fields(RunRecord)]
-    run_lines = [",".join(columns)]
+    run_lines = [",".join(RunRecord.__slots__)]
     for r in result.runs:
-        run_lines.append(",".join(_csv_cell(getattr(r, column)) for column in columns))
+        run_lines.append(",".join(_csv_cell(getattr(r, column)) for column in RunRecord.__slots__))
     paths["runs"].write_text("\n".join(run_lines) + "\n", encoding="utf-8")
     return paths

@@ -11,10 +11,9 @@ Instances are confined to a single task run and never shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .model import Plan, PlanNode, TrajectoryStep
+from .model import Plan, PlanNode, TrajectoryStep, Value, _set
 from .promptkit import (
     PromptTemplate,
     TemplateName,
@@ -89,17 +88,18 @@ class ShortTermMemory:
         return "\n\n".join(blocks)
 
 
-@dataclass(frozen=True)
-class LTMRecord:
+class LTMRecord(Value):
     """One failed round: the plan, every executed step, and why it failed.
 
     ``inter_reflection`` carries the rejected answer plus its score, or the
     terminal executor error when a subtask ran out of retries.
     """
+    __slots__ = ("plan", "trajectory", "inter_reflection")
 
-    plan: Plan
-    trajectory: tuple[TrajectoryStep, ...]
-    inter_reflection: str
+    def __init__(self, plan: Plan, trajectory: tuple[TrajectoryStep, ...], inter_reflection: str) -> None:
+        _set(self, "plan", plan)
+        _set(self, "trajectory", trajectory)
+        _set(self, "inter_reflection", inter_reflection)
 
 
 class LongTermMemory:

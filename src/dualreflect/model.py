@@ -1,6 +1,6 @@
 """Domain types shared by every part of the workflow engine.
 
-Value objects are frozen dataclasses: construct once, share freely across
+Value objects are frozen ``Value``s: construct once, share freely across
 concurrent task runs. Constructors own the score range, thresholds and caps,
 a runnable task and the payload of an OK result; ``backend.ChatResponse``
 owns script token counts. The shape of agent output (non-empty text, unique
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
+from operator import attrgetter
 from typing import Any
 
 __all__ = [
@@ -85,175 +85,212 @@ def clamp_score(raw: int | float) -> tuple[int, bool]:
     return int(floored), False
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+_set = object.__setattr__
+
+
+class Value:
+    """Base of every value type: a frozen class whose ``__slots__`` are its
+    fields. Equality (same class only), hashing and ``repr`` follow the field
+    tuple, as on a frozen dataclass, so a value that holds a dict is
+    unhashable. Each subclass's ``__init__`` checks its arguments and sets
+    each field with ``_set`` (``object.__setattr__``); unpickling and
+    ``copy`` set them the same way. Values can be weakly referenced."""
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: field {name!r} cannot be assigned or deleted")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def as_dict(value: Any) -> Any:
+    """``value`` with each :class:`Value` in it made a dict of its fields and
+    each tuple a list, for ``json.dumps``."""
+    if isinstance(value, Value):
+        return {name: as_dict(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, (tuple, list)):
+        return [as_dict(item) for item in value]
+    if isinstance(value, dict):
+        return {key: as_dict(item) for key, item in value.items()}
+    return value
+
+
+class ParamSpec(Value):
     """One declared tool parameter. ``values`` applies to enum kind only."""
+    __slots__ = ("name", "kind", "required", "description", "values")
 
-    name: str
-    kind: ParamKind
-    required: bool
-    description: str = ""
-    values: tuple[str, ...] = ()
+    def __init__(self, name: str, kind: ParamKind, required: bool, description: str = "",
+                 values: tuple[str, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "required", required)
+        _set(self, "description", description)
+        _set(self, "values", values)
 
 
-@dataclass(frozen=True)
-class ToolSpec:
+class ToolSpec(Value):
     """A callable tool: name, human description, and parameter schema."""
+    __slots__ = ("name", "description", "parameters")
 
-    name: str
-    description: str
-    parameters: tuple[ParamSpec, ...] = ()
+    def __init__(self, name: str, description: str, parameters: tuple[ParamSpec, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "description", description)
+        _set(self, "parameters", parameters)
 
 
-@dataclass(frozen=True)
-class ExpectedCall:
+class ExpectedCall(Value):
     """One expected tool invocation; parameters=None matches any arguments."""
+    __slots__ = ("function", "parameters")
 
-    function: str
-    parameters: dict[str, Any] | None = None
+    def __init__(self, function: str, parameters: dict[str, Any] | None = None) -> None:
+        _set(self, "function", function)
+        _set(self, "parameters", parameters)
 
 
-@dataclass(frozen=True)
-class SuccessPredicate:
+class SuccessPredicate(Value):
     """Deterministic pass/fail check applied to a finished run."""
+    __slots__ = ("kind", "payload")
 
-    kind: PredicateKind
-    payload: Any = None
-
-    @classmethod
-    def expected_calls(cls, calls: list[ExpectedCall] | tuple[ExpectedCall, ...]) -> "SuccessPredicate":
-        return cls(PredicateKind.EXPECTED_CALLS, tuple(calls))
-
-    @classmethod
-    def answer_contains(cls, substrings: list[str] | tuple[str, ...]) -> "SuccessPredicate":
-        return cls(PredicateKind.ANSWER_CONTAINS, tuple(substrings))
-
-    @classmethod
-    def all_nodes_succeeded(cls) -> "SuccessPredicate":
-        return cls(PredicateKind.ALL_NODES_SUCCEEDED, None)
+    def __init__(self, kind: PredicateKind, payload: Any = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(Value):
     """A task: description, candidate tool library, and how to score the run.
 
     A task is runnable by construction: every violated invariant is reported
     in one :class:`ValueError`, joined by ``"; "``.
     """
+    __slots__ = ("id", "description", "tools", "success_check")
 
-    id: str
-    description: str
-    tools: tuple[ToolSpec, ...]
-    success_check: SuccessPredicate
-
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, description: str, tools: tuple[ToolSpec, ...], success_check: SuccessPredicate) -> None:
+        _set(self, "id", id)
+        _set(self, "description", description)
+        _set(self, "tools", tools)
+        _set(self, "success_check", success_check)
         problems = _task_problems(self)
         if problems:
             raise ValueError("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class IntraReflection:
+class IntraReflection(Value):
     """An agent's pre-handoff self-evaluation: free text plus a 1-10 score."""
+    __slots__ = ("evaluation", "score", "clamped")
 
-    evaluation: str
-    score: int
-    clamped: bool = False
+    def __init__(self, evaluation: str, score: int, clamped: bool = False) -> None:
+        if isinstance(score, bool) or not isinstance(score, int) or not 1 <= score <= 10:
+            raise ValueError(f"reflection score must be an integer in [1, 10], got {score!r}")
+        _set(self, "evaluation", evaluation)
+        _set(self, "score", score)
+        _set(self, "clamped", clamped)
 
-    def __post_init__(self) -> None:
-        if isinstance(self.score, bool) or not isinstance(self.score, int) or not 1 <= self.score <= 10:
-            raise ValueError(f"reflection score must be an integer in [1, 10], got {self.score!r}")
 
-
-@dataclass(frozen=True)
-class PlanNode:
+class PlanNode(Value):
     """One subtask with the function it is bound to."""
+    __slots__ = ("id", "subtask", "function")
 
-    id: str
-    subtask: str
-    function: str
+    def __init__(self, id: str, subtask: str, function: str) -> None:
+        _set(self, "id", id)
+        _set(self, "subtask", subtask)
+        _set(self, "function", function)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Value):
     """Ordered subtask nodes plus the planner's self-evaluation.
 
     List order is execution order; there is no separate dependency edge set.
     """
+    __slots__ = ("nodes", "reflection")
 
-    nodes: tuple[PlanNode, ...]
-    reflection: IntraReflection
+    def __init__(self, nodes: tuple[PlanNode, ...], reflection: IntraReflection) -> None:
+        _set(self, "nodes", nodes)
+        _set(self, "reflection", reflection)
 
 
-@dataclass(frozen=True)
-class ToolCall:
+class ToolCall(Value):
     """A concrete invocation: function name, argument map, self-evaluation."""
+    __slots__ = ("function", "parameters", "reflection")
 
-    function: str
-    parameters: dict[str, Any]
-    reflection: IntraReflection
+    def __init__(self, function: str, parameters: dict[str, Any], reflection: IntraReflection) -> None:
+        _set(self, "function", function)
+        _set(self, "parameters", parameters)
+        _set(self, "reflection", reflection)
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
+class ExecutionResult(Value):
     """What the executor saw: a status plus observation or error text."""
+    __slots__ = ("status", "payload")
 
-    status: ExecutionStatus
-    payload: str
-
-    def __post_init__(self) -> None:
-        if self.status is ExecutionStatus.OK and not self.payload:
+    def __init__(self, status: ExecutionStatus, payload: str) -> None:
+        if status is ExecutionStatus.OK and not payload:
             raise ValueError("successful execution must carry a non-empty payload")
+        _set(self, "status", status)
+        _set(self, "payload", payload)
 
 
-@dataclass(frozen=True)
-class TrajectoryStep:
+class TrajectoryStep(Value):
     """One executed attempt: which node, what was called, what came back."""
+    __slots__ = ("node_id", "call", "observation", "attempt_index")
 
-    node_id: str
-    call: ToolCall
-    observation: ExecutionResult
-    attempt_index: int
+    def __init__(self, node_id: str, call: ToolCall, observation: ExecutionResult, attempt_index: int) -> None:
+        _set(self, "node_id", node_id)
+        _set(self, "call", call)
+        _set(self, "observation", observation)
+        _set(self, "attempt_index", attempt_index)
 
 
-@dataclass(frozen=True)
-class FinalAnswer:
+class FinalAnswer(Value):
     """The synthesized natural-language answer plus its self-evaluation."""
+    __slots__ = ("text", "reflection")
 
-    text: str
-    reflection: IntraReflection
+    def __init__(self, text: str, reflection: IntraReflection) -> None:
+        _set(self, "text", text)
+        _set(self, "reflection", reflection)
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(Value):
     """Quality gates for the planner, tool, and answer agents."""
+    __slots__ = ("theta_p", "theta_t", "theta_a")
 
-    theta_p: int = 9
-    theta_t: int = 8
-    theta_a: int = 8
-
-    def __post_init__(self) -> None:
-        for name in ("theta_p", "theta_t", "theta_a"):
-            value = getattr(self, name)
+    def __init__(self, theta_p: int = 9, theta_t: int = 8, theta_a: int = 8) -> None:
+        for name, value in zip(self.__slots__, (theta_p, theta_t, theta_a)):
             if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= 10:
                 raise ValueError(f"{name} must be an integer in [1, 10], got {value!r}")
+            _set(self, name, value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     """Caps and thresholds governing one task run."""
+    __slots__ = ("thresholds", "max_rounds", "revision_cap", "subtask_retry_cap", "parse_retry_cap")
 
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    max_rounds: int = 5
-    revision_cap: int = 3
-    subtask_retry_cap: int = 3
-    parse_retry_cap: int = 2
-
-    def __post_init__(self) -> None:
-        for name in ("max_rounds", "revision_cap", "subtask_retry_cap", "parse_retry_cap"):
-            value = getattr(self, name)
+    def __init__(self, thresholds: Thresholds = Thresholds(), max_rounds: int = 5, revision_cap: int = 3,
+                 subtask_retry_cap: int = 3, parse_retry_cap: int = 2) -> None:
+        _set(self, "thresholds", thresholds)
+        for name, value in zip(self.__slots__[1:], (max_rounds, revision_cap, subtask_retry_cap, parse_retry_cap)):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _set(self, name, value)
 
     @classmethod
     def from_dict(cls, data: Any) -> "RunConfig":
@@ -270,7 +307,7 @@ class RunConfig:
 def _known_keys(cls: type, data: Any, what: str) -> dict[str, Any]:
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    unknown = sorted(set(data) - set(cls.__slots__))
     if unknown:
         raise ValueError(f"{what} has unknown key(s): {', '.join(unknown)}")
     return data

@@ -11,7 +11,6 @@ ordered event trace which, under a scripted backend, is bit-deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any
@@ -19,14 +18,7 @@ from typing import Any
 from .agents import AgentRunner, ParseExhausted
 from .backend import BackendError, ChatBackend, TokenTotals
 from .memory import LongTermMemory, LTMRecord, ShortTermMemory
-from .model import (
-    ExecutionStatus,
-    FinalAnswer,
-    Plan,
-    RunConfig,
-    TaskSpec,
-    TrajectoryStep,
-)
+from .model import ExecutionStatus, FinalAnswer, Plan, RunConfig, TaskSpec, TrajectoryStep, Value, _set
 from .promptkit import describe_result
 from .sandbox import SandboxRegistry
 
@@ -39,20 +31,6 @@ __all__ = [
     "events_to_jsonl",
     "fold_event_tokens",
 ]
-
-#: Every kind the trace may contain, in no particular order.
-EVENT_KINDS = (
-    "round_start",
-    "agent_call",
-    "agent_output",
-    "execute",
-    "stm_record",
-    "stm_reset",
-    "ltm_append",
-    "ltm_reset",
-    "round_end",
-    "run_end",
-)
 
 
 class RunStatus(str, Enum):
@@ -92,22 +70,24 @@ def fold_event_tokens(events: list[dict[str, Any]] | tuple[dict[str, Any], ...])
     return TokenTotals(prompt, completion, calls)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Value):
     """Terminal report of one run.
 
     An exhausted run still carries the best answer seen (highest answer
     score, ties to the earliest round); ``final_round`` is 0 when no round
     produced an answer at all.
     """
+    __slots__ = ("status", "final_answer", "final_round", "rounds_used", "token_totals", "events", "error")
 
-    status: RunStatus
-    final_answer: FinalAnswer | None
-    final_round: int
-    rounds_used: int
-    token_totals: TokenTotals
-    events: tuple[dict[str, Any], ...]
-    error: str | None = None
+    def __init__(self, status: RunStatus, final_answer: FinalAnswer | None, final_round: int, rounds_used: int,
+                 token_totals: TokenTotals, events: tuple[dict[str, Any], ...], error: str | None = None) -> None:
+        _set(self, "status", status)
+        _set(self, "final_answer", final_answer)
+        _set(self, "final_round", final_round)
+        _set(self, "rounds_used", rounds_used)
+        _set(self, "token_totals", token_totals)
+        _set(self, "events", events)
+        _set(self, "error", error)
 
     def trace_jsonl(self) -> str:
         return events_to_jsonl(self.events)

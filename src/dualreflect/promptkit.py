@@ -7,13 +7,10 @@ never re-scanned, so braces inside tool output cannot corrupt a prompt.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -29,6 +26,8 @@ from .model import (
     ToolCall,
     ToolSpec,
     TrajectoryStep,
+    Value,
+    _set,
     clamp_score,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "SchemaError",
     "load_templates",
     "default_templates",
-    "manifest_mismatches",
     "render",
     "extract_json",
     "validate_output",
@@ -83,8 +81,6 @@ PLACEHOLDERS: dict[TemplateName, tuple[str, ...]] = {
 
 _SLOT_PATTERN = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
 
-MANIFEST_FILE = "MANIFEST.sha256"
-
 #: Fills the "Results of Previous Subtasks" slot before anything has run.
 NO_RESULTS_TEXT = "No completed subtasks yet."
 
@@ -117,20 +113,18 @@ class SchemaError(PromptError):
         self.problems = tuple(problems)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: TemplateName
-    body: str
-    placeholders: tuple[str, ...]
+class PromptTemplate(Value):
+    """A template body and its declared slots. ``_parts`` is the body split
+    at those slots, once: literal text at even indices, slot names at odd
+    ones. Undeclared ``{x}`` stays literal."""
+    __slots__ = ("name", "body", "placeholders", "_parts")
 
-    @cached_property
-    def _parts(self) -> tuple[str, ...]:
-        """The body split at its declared slots, once: literal text at even
-        indices, slot names at odd ones. Undeclared ``{x}`` stays literal."""
-        if not self.placeholders:
-            return (self.body,)
-        slot = re.compile(r"\{(" + "|".join(re.escape(p) for p in self.placeholders) + r")\}")
-        return tuple(slot.split(self.body))
+    def __init__(self, name: TemplateName, body: str, placeholders: tuple[str, ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "body", body)
+        _set(self, "placeholders", placeholders)
+        slot = r"\{(" + "|".join(re.escape(p) for p in placeholders) + r")\}"
+        _set(self, "_parts", tuple(re.split(slot, body)) if placeholders else (body,))
 
 
 def _template_dir() -> Any:
@@ -162,31 +156,6 @@ def default_templates() -> dict[TemplateName, PromptTemplate]:
     if _default_templates is None:
         _default_templates = load_templates()
     return _default_templates
-
-
-def manifest_mismatches(directory: Path | None = None) -> list[str]:
-    """Compare template files against the golden sha256 manifest.
-
-    Returns one line per mismatch; an empty list means every template is
-    byte-identical to its pinned copy.
-    """
-    root = Path(directory) if directory is not None else _template_dir()
-    manifest = root.joinpath(MANIFEST_FILE).read_text(encoding="utf-8")
-    expected: dict[str, str] = {}
-    for line in manifest.splitlines():
-        if line.strip():
-            digest, filename = line.split(None, 1)
-            expected[filename.strip()] = digest
-    problems = []
-    for name in TemplateName:
-        filename = f"{name.value}.txt"
-        if filename not in expected:
-            problems.append(f"{filename}: missing from manifest")
-            continue
-        actual = hashlib.sha256(root.joinpath(filename).read_bytes()).hexdigest()
-        if actual != expected[filename]:
-            problems.append(f"{filename}: sha256 {actual} != manifest {expected[filename]}")
-    return problems
 
 
 def render(template: PromptTemplate, slots: Mapping[str, str]) -> str:

@@ -13,7 +13,6 @@ per-run session so concurrent runs never share executor state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -24,6 +23,8 @@ from .model import (
     ParamSpec,
     ToolCall,
     ToolSpec,
+    Value,
+    _set,
     _text,
     tool_from_dict,
 )
@@ -40,14 +41,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BehaviorRule:
+class BehaviorRule(Value):
     """First-match-wins behavior: equality matchers on parameters and/or a
     1-based per-tool call index."""
+    __slots__ = ("result", "params", "call_index")
 
-    result: ExecutionResult
-    params: dict[str, Any] | None = None
-    call_index: int | None = None
+    def __init__(self, result: ExecutionResult, params: dict[str, Any] | None = None, call_index: int | None = None):
+        _set(self, "result", result)
+        _set(self, "params", params)
+        _set(self, "call_index", call_index)
 
     def matches(self, parameters: Mapping[str, Any], call_index: int) -> bool:
         if self.call_index is not None and call_index != self.call_index:
@@ -59,11 +61,13 @@ class BehaviorRule:
         return True
 
 
-@dataclass(frozen=True)
-class SandboxTool:
-    spec: ToolSpec
-    default: ExecutionResult
-    rules: tuple[BehaviorRule, ...] = ()
+class SandboxTool(Value):
+    __slots__ = ("spec", "default", "rules")
+
+    def __init__(self, spec: ToolSpec, default: ExecutionResult, rules: tuple[BehaviorRule, ...] = ()) -> None:
+        _set(self, "spec", spec)
+        _set(self, "default", default)
+        _set(self, "rules", rules)
 
 
 class SandboxRegistry:

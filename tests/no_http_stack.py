@@ -5,8 +5,9 @@
 Each blocked module is set to None in ``sys.modules``, so importing it raises
 ImportError, even if a site hook loaded it earlier: a scripted ``run``,
 ``replay`` or ``eval`` that exits 0 here never needed any of them. Importing
-the package must not load ``statistics`` either; ``-S`` keeps site hooks
-from loading it first.
+the package must not load ``statistics`` or ``dataclasses`` either (the
+latter pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, a large share
+of a cold start); ``-S`` keeps site hooks from loading them first.
 """
 
 import sys
@@ -19,6 +20,7 @@ for name in BLOCKED:
 import dualreflect  # noqa: E402
 import dualreflect.cli  # noqa: E402
 
-if "statistics" in sys.modules:
-    sys.exit("importing dualreflect loaded statistics")
+for name in ("statistics", "dataclasses"):
+    if name in sys.modules:
+        sys.exit(f"importing dualreflect loaded {name}")
 sys.exit(dualreflect.cli.main(sys.argv[1:]))

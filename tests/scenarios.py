@@ -10,21 +10,28 @@ to check against.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
+import dualreflect
 from dualreflect.backend import ChatResponse, ScriptedBackend, ScriptStep
 from dualreflect.model import (
+    ExpectedCall,
     ParamKind,
     ParamSpec,
+    PredicateKind,
     RunConfig,
     SuccessPredicate,
     TaskSpec,
     Thresholds,
     ToolSpec,
+    as_dict,
 )
+from dualreflect.promptkit import TemplateName
 from dualreflect.sandbox import BehaviorRule, ExecutionResult, ExecutionStatus, SandboxRegistry, SandboxTool
 
 # --- Agent-output JSON builders -------------------------------------------------
@@ -67,6 +74,18 @@ def make_backend(steps: list[ScriptStep]) -> ScriptedBackend:
 # --- Simple task/registry builders ----------------------------------------------
 
 
+def expected_calls(calls: list[ExpectedCall] | tuple[ExpectedCall, ...]) -> SuccessPredicate:
+    return SuccessPredicate(PredicateKind.EXPECTED_CALLS, tuple(calls))
+
+
+def answer_contains(substrings: list[str] | tuple[str, ...]) -> SuccessPredicate:
+    return SuccessPredicate(PredicateKind.ANSWER_CONTAINS, tuple(substrings))
+
+
+def all_nodes_succeeded() -> SuccessPredicate:
+    return SuccessPredicate(PredicateKind.ALL_NODES_SUCCEEDED)
+
+
 def simple_tool(name: str, fail_first: int = 0, payload: str | None = None) -> SandboxTool:
     """A tool with one optional string parameter that fails its first
     ``fail_first`` (valid) calls and succeeds afterwards."""
@@ -96,7 +115,7 @@ def make_task(
         id=task_id,
         description=description,
         tools=tools,
-        success_check=predicate or SuccessPredicate.all_nodes_succeeded(),
+        success_check=predicate or all_nodes_succeeded(),
     )
 
 
@@ -283,7 +302,7 @@ def case_study_task() -> TaskSpec:
             "find an exhibition, check the weather, book a lunch table, and estimate the total cost."
         ),
         tools=tools,
-        success_check=SuccessPredicate.answer_contains(["Musee d'Orsay", "128 EUR"]),
+        success_check=answer_contains(["Musee d'Orsay", "128 EUR"]),
     )
 
 
@@ -358,7 +377,7 @@ def case_study_config() -> RunConfig:
 def task_doc(task: TaskSpec) -> dict[str, Any]:
     """The ``task.json`` document of ``task``: str enums encode as their
     values, tuples as arrays and a wildcard expected call's parameters as null."""
-    return json.loads(json.dumps(asdict(task)))
+    return json.loads(json.dumps(as_dict(task)))
 
 
 def sandbox_doc(registry: SandboxRegistry) -> dict[str, Any]:
@@ -369,15 +388,13 @@ def sandbox_doc(registry: SandboxRegistry) -> dict[str, Any]:
         rules = []
         for rule in tool.rules:
             when = {"params": rule.params, "call_index": rule.call_index}
-            rules.append({"when": {k: v for k, v in when.items() if v is not None}, "result": asdict(rule.result)})
-        tools.append({"spec": asdict(spec), "default": asdict(tool.default), "rules": rules})
+            rules.append({"when": {k: v for k, v in when.items() if v is not None}, "result": as_dict(rule.result)})
+        tools.append({"spec": as_dict(spec), "default": as_dict(tool.default), "rules": rules})
     return {"tools": tools}
 
 
 def write_bundle(root, task: TaskSpec, registry: SandboxRegistry, steps: list[ScriptStep] | None) -> None:
     """Write a runnable task bundle (task.json, sandbox.json, script.jsonl)."""
-    from pathlib import Path
-
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     for name, doc in [("task.json", task_doc(task)), ("sandbox.json", sandbox_doc(registry))]:
@@ -559,8 +576,6 @@ BROKEN_BUNDLES = {
 
 def write_broken_bundle(root, case: str) -> None:
     """A one-tool bundle with one file broken as ``BROKEN_BUNDLES[case]`` says."""
-    from pathlib import Path
-
     write_bundle(root, make_task(["alpha"], task_id="broken"), make_registry(["alpha"]), [step("x")])
     name, rewrite, _ = BROKEN_BUNDLES[case]
     path = Path(root) / name
@@ -573,7 +588,7 @@ def accept_at_round_bundle(root, k: int, total_rounds: int = 7, task_id: str | N
     marker = f"FINAL-ANSWER-R{k}"
     task = make_task(
         ["alpha"],
-        predicate=SuccessPredicate.answer_contains([marker]),
+        predicate=answer_contains([marker]),
         task_id=task_id or f"accept-at-{k}",
     )
     steps = []
@@ -586,3 +601,34 @@ def accept_at_round_bundle(root, k: int, total_rounds: int = 7, task_id: str | N
             steps.append(step(answer_json(f"Weak summary of round {r}.", 7)))
     write_bundle(root, task, make_registry(["alpha"]), steps)
     return task
+
+
+# --- The prompt-template manifest ---------------------------------------------------
+
+MANIFEST_FILE = "MANIFEST.sha256"
+
+
+def manifest_mismatches(directory: Path | None = None) -> list[str]:
+    """Compare template files against the golden sha256 manifest.
+
+    ``directory`` defaults to the packaged templates. Returns one line per
+    mismatch; an empty list means every template is byte-identical to its
+    pinned copy.
+    """
+    root = Path(directory) if directory is not None else Path(dualreflect.__file__).parent / "prompts"
+    manifest = root.joinpath(MANIFEST_FILE).read_text(encoding="utf-8")
+    expected: dict[str, str] = {}
+    for line in manifest.splitlines():
+        if line.strip():
+            digest, filename = line.split(None, 1)
+            expected[filename.strip()] = digest
+    problems = []
+    for name in TemplateName:
+        filename = f"{name.value}.txt"
+        if filename not in expected:
+            problems.append(f"{filename}: missing from manifest")
+            continue
+        actual = hashlib.sha256(root.joinpath(filename).read_bytes()).hexdigest()
+        if actual != expected[filename]:
+            problems.append(f"{filename}: sha256 {actual} != manifest {expected[filename]}")
+    return problems

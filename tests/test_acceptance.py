@@ -13,7 +13,7 @@ import pytest
 from dualreflect.agents import gate, prompt_hash
 from dualreflect.backend import RecordingBackend, HttpBackend, ScriptedBackend, script_from_jsonl
 from dualreflect.harness import check_success, evaluate
-from dualreflect.model import RunConfig, SuccessPredicate, Thresholds
+from dualreflect.model import RunConfig, Thresholds
 from dualreflect.orchestrator import events_to_jsonl, fold_event_tokens, run_task
 from dualreflect.promptkit import (
     PLACEHOLDERS,
@@ -22,12 +22,12 @@ from dualreflect.promptkit import (
     OutputKind,
     SchemaError,
     extract_json,
-    manifest_mismatches,
     validate_output,
 )
 from http_stub import serve_script
 from scenarios import (
     CASE_PAYLOADS,
+    answer_contains,
     answer_json,
     build_random_scenario,
     case_study_config,
@@ -37,6 +37,7 @@ from scenarios import (
     make_backend,
     make_registry,
     make_task,
+    manifest_mismatches,
     planner_json,
     step,
     tool_json,
@@ -250,7 +251,7 @@ def test_boundary_score_executes_without_revision():
 def accept_at_k_materials(k, total_rounds=7):
     marker = f"FINAL-ANSWER-R{k}"
     task = make_task(
-        ["alpha"], predicate=SuccessPredicate.answer_contains([marker]), task_id=f"accept-at-{k}"
+        ["alpha"], predicate=answer_contains([marker]), task_id=f"accept-at-{k}"
     )
     steps = []
     for r in range(1, total_rounds + 1):

@@ -3,7 +3,6 @@
 import json
 import shutil
 import weakref
-from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dualreflect import harness
-from dualreflect.backend import RecordingBackend, ScriptedBackend
+from dualreflect.backend import ChatResponse, RecordingBackend, ScriptedBackend, ScriptStep
 from dualreflect.harness import (
     SuiteError,
     check_success,
@@ -23,17 +22,22 @@ from dualreflect.harness import (
 from dualreflect.model import (
     ExpectedCall,
     RunConfig,
-    SuccessPredicate,
+    TaskSpec,
     Thresholds,
+    ToolSpec,
+    as_dict,
 )
 from dualreflect.orchestrator import RunStatus, run_task
-from dualreflect.sandbox import SandboxRegistry
+from dualreflect.sandbox import SandboxRegistry, SandboxTool
 from scenarios import (
     BROKEN_BUNDLES,
     GARBAGE,
     accept_at_round_bundle,
+    all_nodes_succeeded,
+    answer_contains,
     answer_json,
     build_random_scenario,
+    expected_calls,
     make_backend,
     make_registry,
     make_task,
@@ -63,7 +67,7 @@ def write_three_task_suite(root):
     for i, marker in enumerate(["ALL-GOOD", "ALL-GOOD", "NEVER-SAID"], 1):
         task = make_task(
             ["alpha"],
-            predicate=SuccessPredicate.answer_contains([marker]),
+            predicate=answer_contains([marker]),
             task_id=f"task-{i}",
         )
         write_bundle(root / f"task-{i}", task, make_registry(["alpha"]), passing_steps("ALL-GOOD"))
@@ -205,13 +209,13 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "declared, sandboxed, culprit, reason",
         [
-            (["alpha"], [replace(simple_tool("alpha").spec, parameters=())], "alpha", "differs"),
+            (["alpha"], [ToolSpec("alpha", simple_tool("alpha").spec.description)], "alpha", "differs"),
             (["alpha"], [simple_tool("alpha").spec, simple_tool("beta").spec], "beta", "not declared"),
             (["alpha", "beta"], [simple_tool("alpha").spec], "beta", "no behaviour"),
         ],
     )
     def test_sandbox_specs_must_equal_task_tools(self, tmp_path, declared, sandboxed, culprit, reason):
-        registry = SandboxRegistry([replace(simple_tool(spec.name), spec=spec) for spec in sandboxed])
+        registry = SandboxRegistry([SandboxTool(spec, simple_tool(spec.name).default) for spec in sandboxed])
         write_bundle(tmp_path / "t", make_task(declared, task_id="t"), registry, passing_steps())
         with pytest.raises(SuiteError, match=reason) as err:
             load_bundle(tmp_path / "t")
@@ -249,7 +253,7 @@ class TestHistograms:
     def test_histogram_matches_declared_scores(self, tmp_path):
         # One revision in the tool seat: declared scores P:9, T:6, T:9, A:7
         # in round 1, then P:9, T:8, A:9 in round 2.
-        task = make_task(["alpha"], predicate=SuccessPredicate.answer_contains(["fine"]), task_id="hist")
+        task = make_task(["alpha"], predicate=answer_contains(["fine"]), task_id="hist")
         steps = [
             step(planner_json([("r1n1", "s", "alpha")], 9)),
             step(tool_json("alpha", {"q": "bad"}, 6)),
@@ -287,7 +291,7 @@ class TestReport:
         paths = report(result, tmp_path / "out")
         for key in ("json", "text", "histograms", "runs"):
             assert paths[key].is_file()
-        assert json.loads(paths["json"].read_text(encoding="utf-8")) == json.loads(json.dumps(asdict(result)))
+        assert json.loads(paths["json"].read_text(encoding="utf-8")) == json.loads(json.dumps(as_dict(result)))
         runs_lines = paths["runs"].read_text(encoding="utf-8").strip().splitlines()
         assert len(runs_lines) == 1 + 3 * 2  # header + tasks x repeats
         hist_lines = paths["histograms"].read_text(encoding="utf-8").strip().splitlines()
@@ -295,7 +299,7 @@ class TestReport:
 
     def test_runs_csv_quotes_error_text(self, tmp_path):
         record = harness.RunRecord("t", 1, "aborted", False, 0, 0, None, 0, 0, 0, error='a, "b"\nc')
-        result = replace(evaluate(tmp_path, CFG), runs=(record,))
+        result = harness.SuiteResult(harness.SCHEMA_VERSION, 1, (), (record,), None, (), None, 0, None, {})
         runs = report(result, tmp_path / "out")["runs"].read_text(encoding="utf-8")
         assert runs.endswith('t,1,aborted,false,0,0,,0,0,0,"a, ""b""\nc"\n')
 
@@ -341,7 +345,7 @@ class TestRunEndSummary:
         assert result.status is status
 
         run_end = result.events[-1]
-        columns = {f.name for f in fields(harness.RunRecord)} - {"task_id", "repeat", "passed"}
+        columns = set(harness.RunRecord.__slots__) - {"task_id", "repeat", "passed"}
         keys = set(run_end) - {"kind", "round", "seq", "task"}
         assert keys <= columns
         assert columns - keys == {name for name in columns if getattr(record, name) is None}
@@ -369,15 +373,15 @@ class TestPredicates:
         return task, run_task(task, CFG, make_backend(steps), make_registry(["alpha", "beta"]))
 
     def test_answer_contains_all_substrings(self):
-        task, result = self.run_with_predicate(SuccessPredicate.answer_contains(["done", "RESULT=42"]))
+        task, result = self.run_with_predicate(answer_contains(["done", "RESULT=42"]))
         assert check_success(task, result) is True
 
     def test_answer_contains_fails_on_missing_substring(self):
-        task, result = self.run_with_predicate(SuccessPredicate.answer_contains(["done", "RESULT=43"]))
+        task, result = self.run_with_predicate(answer_contains(["done", "RESULT=43"]))
         assert check_success(task, result) is False
 
     def test_expected_calls_multiset_match(self):
-        predicate = SuccessPredicate.expected_calls([ExpectedCall("alpha", {"q": "x"})])
+        predicate = expected_calls([ExpectedCall("alpha", {"q": "x"})])
         task, result = self.run_with_predicate(predicate)
         assert check_success(task, result) is True
 
@@ -396,8 +400,8 @@ class TestPredicates:
     def test_expected_calls_wildcard_leaves_parameterized_match(self, wildcard_first):
         task, result = self.two_call_run()
         payload = [ExpectedCall("alpha"), ExpectedCall("alpha", {"q": "x"})]
-        predicate = SuccessPredicate.expected_calls(payload if wildcard_first else payload[::-1])
-        assert check_success(replace(task, success_check=predicate), result) is True
+        predicate = expected_calls(payload if wildcard_first else payload[::-1])
+        assert check_success(TaskSpec(task.id, task.description, task.tools, predicate), result) is True
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -407,29 +411,29 @@ class TestPredicates:
         payload = data.draw(st.lists(entries, min_size=1, max_size=4))
         permuted = data.draw(st.permutations(payload))
         verdicts = {
-            check_success(replace(task, success_check=SuccessPredicate.expected_calls(p)), result)
+            check_success(TaskSpec(task.id, task.description, task.tools, expected_calls(p)), result)
             for p in (payload, permuted)
         }
         assert len(verdicts) == 1
 
     def test_expected_calls_parameter_mismatch_fails(self):
-        predicate = SuccessPredicate.expected_calls([ExpectedCall("alpha", {"q": "y"})])
+        predicate = expected_calls([ExpectedCall("alpha", {"q": "y"})])
         task, result = self.run_with_predicate(predicate)
         assert check_success(task, result) is False
 
     def test_expected_calls_surplus_call_fails(self):
-        predicate = SuccessPredicate.expected_calls([ExpectedCall("beta")])
+        predicate = expected_calls([ExpectedCall("beta")])
         task, result = self.run_with_predicate(predicate)
         assert check_success(task, result) is False
 
     def test_all_nodes_succeeded_requires_an_answer_round(self):
-        task, result = self.run_with_predicate(SuccessPredicate.all_nodes_succeeded())
+        task, result = self.run_with_predicate(all_nodes_succeeded())
         assert check_success(task, result) is True
 
     def test_all_nodes_succeeded_fails_when_no_round_reached_an_answer(self):
         # The one subtask fails its only attempt in both rounds, so the answer
         # agent never runs and the run exhausts with final_round 0.
-        task = make_task(["alpha", "beta"], predicate=SuccessPredicate.all_nodes_succeeded(), task_id="pred")
+        task = make_task(["alpha", "beta"], predicate=all_nodes_succeeded(), task_id="pred")
         steps = [step(planner_json([("n1", "s", "alpha")], 9)), step(tool_json("alpha", {"q": "x"}, 9))] * 2
         cfg = RunConfig(max_rounds=2, subtask_retry_cap=1)
         result = run_task(task, cfg, make_backend(steps), make_registry(["alpha", "beta"], {"alpha": 2}))
@@ -440,9 +444,9 @@ class TestPredicates:
     @pytest.mark.parametrize(
         "predicate",
         [
-            SuccessPredicate.answer_contains(["RESULT=42"]),
-            SuccessPredicate.expected_calls([ExpectedCall("alpha", {"q": "x"})]),
-            SuccessPredicate.all_nodes_succeeded(),
+            answer_contains(["RESULT=42"]),
+            expected_calls([ExpectedCall("alpha", {"q": "x"})]),
+            all_nodes_succeeded(),
         ],
         ids=["answer_contains", "expected_calls", "all_nodes_succeeded"],
     )
@@ -465,7 +469,7 @@ class TestSweeps:
     def sweep_bundle(self, root, theta_p):
         """Same logical scenario; the script covers the revision the higher
         threshold needs (plan scores 8 then 9)."""
-        task = make_task(["alpha"], predicate=SuccessPredicate.answer_contains(["ok"]), task_id="sweep")
+        task = make_task(["alpha"], predicate=answer_contains(["ok"]), task_id="sweep")
         steps = [step(planner_json([("n1", "s", "alpha")], 8))]
         if theta_p > 8:
             steps.append(step(planner_json([("n1", "s", "alpha")], 9)))
@@ -574,7 +578,7 @@ class TestBoundaryProperties:
         bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
         # Without their recorded requests the steps serve whatever the mutant
         # asks next, so the run goes on past the mutated reply.
-        steps = [replace(s, request=None) for s in bundle.script]
+        steps = [ScriptStep(s.response) for s in bundle.script]
         i = data.draw(st.integers(0, len(steps) - 1))
         text = steps[i].response.text
         start = data.draw(st.integers(0, len(text)))
@@ -583,7 +587,8 @@ class TestBoundaryProperties:
         else:
             end = data.draw(st.integers(start, len(text)))
             text = text[:start] + data.draw(COMPLETION_EDITS) + text[end:]
-        steps[i] = replace(steps[i], response=replace(steps[i].response, text=text))
+        response = steps[i].response
+        steps[i] = ScriptStep(ChatResponse(text, response.prompt_tokens, response.completion_tokens))
         result = run_task(bundle.task, RunConfig(), ScriptedBackend(steps), bundle.registry)
         assert [e["kind"] for e in result.events].count("run_end") == 1
         assert result.events[-1]["kind"] == "run_end"

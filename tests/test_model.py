@@ -1,9 +1,13 @@
 """Core type invariants, task validation, parsing."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
+from dualreflect.agents import GateOutcome
+from dualreflect.backend import ChatRequest, TokenTotals
 from dualreflect.model import (
     ExecutionResult,
     ExecutionStatus,
@@ -11,16 +15,21 @@ from dualreflect.model import (
     IntraReflection,
     ParamKind,
     ParamSpec,
+    PlanNode,
+    PredicateKind,
     RunConfig,
     SuccessPredicate,
     TaskSpec,
     Thresholds,
+    ToolCall,
     ToolSpec,
+    TrajectoryStep,
+    as_dict,
     clamp_score,
     task_from_dict,
     task_from_json,
 )
-from scenarios import task_doc
+from scenarios import all_nodes_succeeded, answer_contains, expected_calls, task_doc
 
 
 def two_tool_task(**overrides):
@@ -31,7 +40,7 @@ def two_tool_task(**overrides):
             ToolSpec("alpha", "first tool", (ParamSpec("q", ParamKind.STRING, True, "query"),)),
             ToolSpec("beta", "second tool"),
         ),
-        success_check=SuccessPredicate.all_nodes_succeeded(),
+        success_check=all_nodes_succeeded(),
     )
     fields.update(overrides)
     return TaskSpec(**fields)
@@ -70,7 +79,7 @@ class TestValidateTask:
         assert violations(tools=tools) == ["tools[0].parameters[0]: enum parameter must list allowed values"]
 
     def test_expected_calls_must_reference_declared_tools(self):
-        predicate = SuccessPredicate.expected_calls([ExpectedCall("gamma")])
+        predicate = expected_calls([ExpectedCall("gamma")])
         assert violations(success_check=predicate) == [
             "success_check.payload[0]: function 'gamma' is not in the tool library"
         ]
@@ -106,6 +115,84 @@ class TestOtherInvariants:
         assert ExecutionResult(ExecutionStatus.SIMULATED_FAILURE, "").payload == ""
 
 
+def hot_values():
+    """One value of each type a run builds most often."""
+    reflection = IntraReflection("fits", 9, True)
+    call = ToolCall("lookup", {"q": "x", "n": [1, 2.5], "opt": None}, reflection)
+    return {
+        "TokenTotals": TokenTotals(1, 2, 3),
+        "ChatRequest": ChatRequest("system", "user"),
+        "IntraReflection": reflection,
+        "GateOutcome": GateOutcome(reflection, 1, True),
+        "ToolCall": call,
+        "PlanNode": PlanNode("n1", "look it up", "lookup"),
+        "TrajectoryStep": TrajectoryStep("n1", call, ExecutionResult(ExecutionStatus.OK, "found"), 2),
+    }
+
+
+class TestValue:
+    """Value types behave as frozen dataclasses did: fixed fields, equality
+    and hashing by field tuple within one class, and the same repr."""
+
+    @pytest.mark.parametrize("name", sorted(hot_values()))
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        value = hot_values()[name]
+        field = value.__slots__[0]
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, field) is before
+
+    @pytest.mark.parametrize("name", sorted(hot_values()))
+    def test_pickle_and_copy_give_an_equal_value(self, name):
+        value = hot_values()[name]
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+
+    def test_equal_fields_in_different_types_are_not_equal(self):
+        assert Thresholds(1, 2, 3) != TokenTotals(1, 2, 3)
+        assert TokenTotals(1, 2, 3) != (1, 2, 3)
+        assert TokenTotals(1, 2, 3) == TokenTotals(1, 2, 3)
+
+    def test_equal_values_hash_equal(self):
+        first, second = PlanNode("n1", "look it up", "lookup"), PlanNode("n1", "look it up", "lookup")
+        assert first == second and first is not second
+        assert hash(first) == hash(second) and len({first, second}) == 1
+        assert first != PlanNode("n1", "look it up", "search")
+
+    def test_value_holding_a_dict_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(hot_values()["ToolCall"])
+
+    def test_repr_names_every_field(self):
+        assert repr(IntraReflection("e", 9)) == "IntraReflection(evaluation='e', score=9, clamped=False)"
+
+    def test_as_dict_json_equals_dataclasses_asdict(self):
+        # The expected strings are json.dumps(dataclasses.asdict(...)) of the
+        # same values, taken when these types were frozen dataclasses.
+        task = TaskSpec(
+            "t",
+            "d",
+            (ToolSpec("lookup", "find", (ParamSpec("units", ParamKind.ENUM, True, "u", ("c", "f")),)),),
+            SuccessPredicate(PredicateKind.EXPECTED_CALLS, (ExpectedCall("lookup"), ExpectedCall("lookup", {"units": "c"}))),
+        )
+        assert json.dumps(as_dict(hot_values()["TrajectoryStep"])) == (
+            '{"node_id": "n1", "call": {"function": "lookup", "parameters": {"q": "x", "n": [1, 2.5], "opt": null}, '
+            '"reflection": {"evaluation": "fits", "score": 9, "clamped": true}}, '
+            '"observation": {"status": "ok", "payload": "found"}, "attempt_index": 2}'
+        )
+        assert json.dumps(as_dict(task)) == (
+            '{"id": "t", "description": "d", "tools": [{"name": "lookup", "description": "find", "parameters": '
+            '[{"name": "units", "kind": "enum", "required": true, "description": "u", "values": ["c", "f"]}]}], '
+            '"success_check": {"kind": "expected_calls", "payload": [{"function": "lookup", "parameters": null}, '
+            '{"function": "lookup", "parameters": {"units": "c"}}]}}'
+        )
+
+
 class TestTaskJson:
     def test_round_trip_equality_and_bytes(self):
         task = two_tool_task(
@@ -120,7 +207,7 @@ class TestTaskJson:
                     ),
                 ),
             ),
-            success_check=SuccessPredicate.expected_calls(
+            success_check=expected_calls(
                 [ExpectedCall("alpha", {"q": "x"}), ExpectedCall("alpha")]
             ),
         )
@@ -128,7 +215,7 @@ class TestTaskJson:
         assert task_from_json(json.dumps(task_doc(task))) == task
 
     def test_answer_contains_round_trip(self):
-        task = two_tool_task(success_check=SuccessPredicate.answer_contains(["done", "128 EUR"]))
+        task = two_tool_task(success_check=answer_contains(["done", "128 EUR"]))
         assert task_from_dict(task_doc(task)) == task
         assert task_from_json(json.dumps(task_doc(task))) == task
 
@@ -162,7 +249,7 @@ class TestTaskJson:
         params = (ParamSpec("q", ParamKind.STRING, True), ParamSpec("mode", ParamKind.ENUM, True, "", ("fast",)))
         task = two_tool_task(
             tools=(ToolSpec("alpha", "a", params),),
-            success_check=SuccessPredicate.expected_calls([ExpectedCall("alpha")]),
+            success_check=expected_calls([ExpectedCall("alpha")]),
         )
         doc = task_doc(task)
         edit(doc)

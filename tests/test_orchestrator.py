@@ -23,7 +23,7 @@ from scenarios import (
     step,
     tool_json,
 )
-from trace_checks import check_gates, check_memory_lifecycle, kinds
+from trace_checks import EVENT_KINDS, check_gates, check_memory_lifecycle, kinds
 
 CFG = RunConfig(thresholds=Thresholds(theta_p=9, theta_t=8, theta_a=8), max_rounds=5)
 
@@ -259,8 +259,6 @@ class TestPromptWiring:
         assert "budget estimate" in round2_planner  # the answer agent's critique
 
     def test_only_declared_event_kinds_appear(self):
-        from dualreflect.orchestrator import EVENT_KINDS
-
         for seed in (1, 9, 23):
             scenario = build_random_scenario(seed)
             result = run_task(scenario.task, scenario.config, scenario.backend(), scenario.registry)

@@ -24,13 +24,21 @@ from dualreflect.promptkit import (
     default_templates,
     extract_json,
     load_templates,
-    manifest_mismatches,
     render,
     render_related_outputs,
     render_tool_list,
     validate_output,
 )
-from scenarios import answer_json, make_backend, make_registry, make_task, planner_json, step, tool_json
+from scenarios import (
+    answer_json,
+    make_backend,
+    make_registry,
+    make_task,
+    manifest_mismatches,
+    planner_json,
+    step,
+    tool_json,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

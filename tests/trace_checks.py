@@ -11,6 +11,20 @@ from typing import Any
 
 from dualreflect.model import Thresholds
 
+#: Every kind the trace may contain, in no particular order.
+EVENT_KINDS = (
+    "round_start",
+    "agent_call",
+    "agent_output",
+    "execute",
+    "stm_record",
+    "stm_reset",
+    "ltm_append",
+    "ltm_reset",
+    "round_end",
+    "run_end",
+)
+
 
 def check_memory_lifecycle(events: tuple[dict[str, Any], ...]) -> list[str]:
     """Replays memory events: STM must be empty right after every subtask
