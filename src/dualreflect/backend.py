@@ -8,9 +8,8 @@ fails on the first byte of request divergence. Token accounting is exact on
 every backend — counts come from the upstream ``usage`` block or from the
 script itself, never from estimation.
 
-This is the only module in the package that performs network I/O. The HTTP
-and TLS stack is imported by :class:`HttpBackend` alone, so scripted and
-replayed runs never load it.
+This is the only module that does network I/O. Socket and TLS modules load only
+when an :class:`HttpBackend` is built, never in scripted runs or replays.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from urllib.parse import SplitResult, unquote, urlsplit
 from .model import Value, _set, _text, as_dict
 
 if TYPE_CHECKING:
-    import http.client
     import socket
 
 __all__ = [
@@ -234,25 +232,27 @@ def script_from_jsonl(text: str) -> list[ScriptStep]:
 
 
 class HttpBackend(ChatBackend):
-    """OpenAI-compatible chat-completions client on :mod:`http.client`.
+    """OpenAI-compatible chat-completions client that speaks HTTP/1.1 itself.
 
-    POSTs ``{base_url}/chat/completions`` and reads the first choice plus the
-    usage block. Transport failures, 429, and 5xx are retried with capped
-    exponential backoff for ``MAX_ATTEMPTS`` total tries; a 429 or 503 whose
-    ``Retry-After`` is a whole number of seconds waits that long instead,
-    still capped by ``BACKOFF_CAP``. Other statuses raise :class:`ApiError`
-    immediately, and a failed TLS certificate check is never retried. Base
-    URL and key default to the MIRROR_API_BASE / MIRROR_API_KEY environment
-    variables, and ``http(s)_proxy`` / ``no_proxy`` choose a proxy; the
-    environment is read here, never per call.
-
-    Safe to share between threads: idle keep-alive connections wait in one
-    LIFO pool, which grows to the peak number of concurrent calls.
+    POSTs ``{base_url}/chat/completions`` in one write and reads the first
+    choice plus the usage block. An attempt must end within ``TIMEOUT``
+    seconds, connect included; a reply body over ``MAX_BODY`` bytes is an
+    :class:`ApiError`. Transport failures (refused or reset connections, missed
+    deadlines, broken framing), 429 and 5xx are retried with capped exponential
+    backoff for ``MAX_ATTEMPTS`` total tries; a 429 or 503 whose
+    ``Retry-After`` is a whole number of seconds waits that long instead, still
+    capped by ``BACKOFF_CAP``. Other statuses raise :class:`ApiError` at once,
+    and a failed TLS certificate check is never retried. Base URL and key
+    default to MIRROR_API_BASE / MIRROR_API_KEY, and ``http(s)_proxy`` /
+    ``no_proxy`` choose a proxy; the environment is read here, never per call.
+    Safe to share between threads: idle keep-alive connections wait in one LIFO
+    pool, which grows to the peak number of concurrent calls.
     """
 
     RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
     RETRY_AFTER_STATUSES = frozenset({429, 503})
-    TIMEOUT = 60.0  # seconds per socket operation
+    TIMEOUT = 60.0  # seconds per attempt, from connect to the body's last byte
+    MAX_BODY = 16 << 20  # bytes
     MAX_ATTEMPTS = 3
     BACKOFF_BASE = 0.5
     BACKOFF_CAP = 8.0
@@ -264,8 +264,7 @@ class HttpBackend(ChatBackend):
         model: str = "default",
         sleep: Callable[[float], None] = time.sleep,
     ):
-        # The first call must not pay for loading the HTTP and TLS stack.
-        import http.client  # noqa: F401
+        # The first call must not pay for loading the socket and TLS stack.
         import ssl
 
         super().__init__()
@@ -275,29 +274,31 @@ class HttpBackend(ChatBackend):
         url = urlsplit(base.rstrip("/") + "/chat/completions")
         if url.scheme not in ("http", "https") or not url.hostname or url.query or url.fragment or url.username:
             raise ValueError(f"base URL must look like http(s)://host[:port][/path], got {base!r}")
-        api_key = api_key or os.environ.get(API_KEY_ENV)
         self.model = model
         self._sleep = sleep
-        self._headers = {"Content-Type": "application/json"}
-        if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
-        self._host, self._port = url.hostname, url.port
-        self._target = url.path
-        self._tunnel: tuple[str, int, dict[str, str]] | None = None
-        proxy = _proxy_for(url)
-        if proxy is not None:
-            proxy_url, proxy_headers = proxy
-            self._host, self._port = proxy_url.hostname, proxy_url.port or 80
+        self._address = (url.hostname, url.port or (443 if self._tls else 80))
+        target = url.path
+        fields = f"Host: {url.netloc}\r\nAccept-Encoding: identity\r\nContent-Type: application/json\r\n"
+        if api_key := api_key or os.environ.get(API_KEY_ENV):
+            fields += f"Authorization: Bearer {api_key}\r\n"
+        self._tunnel: bytes | None = None  # the CONNECT request that opens a tunnel through the proxy
+        if proxy := _proxy_for(url):
+            proxy_url, proxy_fields = proxy
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
             if self._tls is not None:
-                self._tunnel = (url.hostname, url.port or 443, proxy_headers)
+                where = url.netloc if url.port else url.netloc + ":443"
+                self._tunnel = f"CONNECT {where} HTTP/1.1\r\nHost: {where}\r\n{proxy_fields}\r\n".encode("latin-1")
             else:
-                self._target = url.geturl()
-                self._headers.update(proxy_headers)
-        self._idle: list[http.client.HTTPConnection] = []
+                target, fields = url.geturl(), fields + proxy_fields
+        if " " in target or not all(part.isprintable() for part in (url.netloc, target, api_key or "")):
+            raise ValueError("base URL and API key must be printable text, and the URL must hold no space")
+        # A request is this head, its Content-Length value, a blank line and the body.
+        self._head = f"POST {target} HTTP/1.1\r\n{fields}Content-Length: ".encode("latin-1")
+        self._server_name = url.hostname
+        self._idle: list[_Connection] = []
 
     def _complete(self, request: ChatRequest) -> ChatResponse:
-        import http.client
         import ssl
 
         body = json.dumps(
@@ -317,7 +318,7 @@ class HttpBackend(ChatBackend):
                 status, retry_after, data = self._post(body)
             except ssl.SSLCertVerificationError as exc:  # an OSError no retry can fix
                 raise TransportError(f"TLS certificate verification failed: {exc}") from None
-            except (OSError, http.client.HTTPException) as exc:
+            except OSError as exc:
                 last_failure = f"transport failure: {exc}"
             else:
                 if status == 200:
@@ -334,41 +335,52 @@ class HttpBackend(ChatBackend):
 
     def _post(self, body: bytes) -> tuple[int, str | None, bytes]:
         """One attempt: status, Retry-After header and the whole body. The
-        connection goes back to the pool only after a complete exchange."""
-        conn = self._checkout()
+        connection goes back to the pool only after a complete exchange that
+        left no byte unread, and only if the server keeps it open."""
+        conn = self._checkout(time.monotonic() + self.TIMEOUT)
         try:
-            conn.request("POST", self._target, body, self._headers)
-            resp = conn.getresponse()
-            data = resp.read()
+            conn.timed().sendall(self._head + b"%d\r\n\r\n" % len(body) + body)
+            status, headers, keep = conn.reply_head(self.MAX_BODY)
+            data, framed = conn.body(status, headers, self.MAX_BODY)
         except BaseException:
-            conn.close()
+            conn.sock.close()
             raise
-        if conn.sock is not None:  # None: the server ended the connection with this reply
+        if keep and framed and not conn.buf:
             with self._lock:
                 self._idle.append(conn)
-        return resp.status, resp.getheader("Retry-After"), data
+        else:
+            conn.sock.close()
+        return status, headers.get("retry-after"), data
 
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _checkout(self, deadline: float) -> _Connection:
         """The most recently used idle connection, or a new one. An idle socket
         that is readable was closed by the server (or holds bytes nobody asked
         for), so it is dropped here instead of costing an attempt."""
-        import http.client
+        import socket
 
         while True:
             with self._lock:
-                conn = self._idle.pop() if self._idle else None
-            if conn is None:
-                break
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
             if not _readable(conn.sock):
+                conn.deadline = deadline
                 return conn
-            conn.close()
-        if self._tls is None:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.TIMEOUT)
-        else:
-            conn = http.client.HTTPSConnection(self._host, self._port, timeout=self.TIMEOUT, context=self._tls)
-        if self._tunnel is not None:
-            host, port, headers = self._tunnel
-            conn.set_tunnel(host, port, headers)
+            conn.sock.close()
+        sock = socket.create_connection(self._address, timeout=self.TIMEOUT)  # the deadline was just set
+        conn = _Connection(sock, deadline)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                conn.timed().sendall(self._tunnel)
+                status, _, _ = conn.reply_head(self.MAX_BODY)
+                if not 200 <= status < 300 or conn.buf:
+                    raise ConnectionError(f"the proxy refused the tunnel: HTTP {status}")
+            if self._tls is not None:
+                conn.sock = self._tls.wrap_socket(conn.timed(), server_hostname=self._server_name)
+        except BaseException:
+            sock.close()
+            raise
         return conn
 
     def close(self) -> None:
@@ -376,13 +388,102 @@ class HttpBackend(ChatBackend):
         with self._lock:
             idle, self._idle = self._idle, []
         for conn in idle:
-            conn.close()
+            conn.sock.close()
 
 
-def _proxy_for(url: SplitResult) -> tuple[SplitResult, dict[str, str]] | None:
+class _Connection:
+    """A socket, its bytes that no reply has used yet, and the deadline of the attempt
+    that holds it. A missed deadline is a TimeoutError, broken framing a ConnectionError."""
+    __slots__ = ("sock", "buf", "deadline")
+
+    def __init__(self, sock: socket.socket, deadline: float) -> None:
+        self.sock, self.buf, self.deadline = sock, b"", deadline
+
+    def timed(self) -> socket.socket:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("attempt deadline passed")
+        self.sock.settimeout(left)
+        return self.sock
+
+    def _more(self, where: str, limit: int) -> None:
+        if len(self.buf) > limit:
+            raise ConnectionError(f"{where} is over {limit} bytes")
+        data = self.timed().recv(65536)
+        if not data:
+            raise ConnectionError(f"connection closed in {where}")
+        self.buf += data
+
+    def _until(self, mark: bytes, limit: int, where: str) -> bytes:
+        """The bytes before the next ``mark``, which is consumed too."""
+        while (end := self.buf.find(mark)) < 0:
+            self._more(where, limit)
+        data, self.buf = self.buf[:end], self.buf[end + len(mark) :]
+        return data
+
+    def _take(self, size: int) -> bytes:
+        while len(self.buf) < size:
+            self._more("the body", size)
+        data, self.buf = self.buf[:size], self.buf[size:]
+        return data
+
+    def reply_head(self, limit: int) -> tuple[int, dict[str, str], bool]:
+        """Status, headers (lower-case names) and whether the server keeps the
+        connection open, of the next reply that is not a 1xx interim one."""
+        status = 100
+        while 100 <= status < 200:
+            status_line, *lines = self._until(b"\r\n\r\n", limit, "the reply head").decode("latin-1").split("\r\n")
+            version, _, rest = status_line.partition(" ")
+            if version not in ("HTTP/1.1", "HTTP/1.0") or not (rest[:3].isdecimal() and rest[3:4] in ("", " ")):
+                raise ConnectionError(f"bad status line {status_line[:80]!r}")
+            status, headers = int(rest[:3]), {}
+            for line in lines:
+                name, colon, value = line.partition(":")
+                if not colon or not name or name.strip() != name:
+                    raise ConnectionError(f"bad header line {line[:80]!r}")
+                headers[name.lower()] = value.strip()
+        tokens = {token.strip() for token in headers.get("connection", "").lower().split(",")}
+        return status, headers, "keep-alive" in tokens if version == "HTTP/1.0" else "close" not in tokens
+
+    def body(self, status: int, headers: dict[str, str], limit: int) -> tuple[bytes, bool]:
+        """The reply body, framed by chunked encoding, else by Content-Length, else by
+        the server closing the connection, and whether it was framed."""
+        if status in (204, 304):
+            return b"", True
+        codings = headers.get("transfer-encoding")
+        if codings is None and (length := headers.get("content-length")) is not None:
+            if not length.isdecimal():
+                raise ConnectionError(f"bad Content-Length {length[:80]!r}")
+            if int(length) > limit:
+                raise ApiError(status, f"reply body over MAX_BODY ({limit} bytes)")
+            return self._take(int(length)), True
+        if codings is None or codings.lower().rsplit(",", 1)[-1].strip() != "chunked":
+            while len(self.buf) <= limit and (data := self.timed().recv(65536)):
+                self.buf += data
+            if len(self.buf) > limit:
+                raise ApiError(status, f"reply body over MAX_BODY ({limit} bytes)")
+            return self.buf, False
+        chunks, total = [], 0
+        while True:
+            digits = self._until(b"\r\n", limit, "a chunk size line").partition(b";")[0].strip()
+            if not digits or digits.strip(b"0123456789abcdefABCDEF"):
+                raise ConnectionError(f"bad chunk size {digits[:80]!r}")
+            if not (size := int(digits, 16)):
+                break
+            if (total := total + size) > limit:
+                raise ApiError(status, f"reply body over MAX_BODY ({limit} bytes)")
+            chunks.append(self._take(size + 2))
+            if not chunks[-1].endswith(b"\r\n"):
+                raise ConnectionError("chunk data not followed by CRLF")
+        while self._until(b"\r\n", limit, "the trailer"):  # trailer fields end at a blank line
+            pass
+        return b"".join(chunk[:-2] for chunk in chunks), True
+
+
+def _proxy_for(url: SplitResult) -> tuple[SplitResult, str] | None:
     """The proxy that ``http(s)_proxy`` / ``all_proxy`` name for ``url``,
-    unless ``no_proxy`` exempts its host, plus the headers that authenticate
-    to it. Only plain-http proxies are supported."""
+    unless ``no_proxy`` exempts its host, plus the header lines that
+    authenticate to it. Only plain-http proxies are supported."""
     import base64
     from urllib.request import getproxies, proxy_bypass
 
@@ -393,11 +494,10 @@ def _proxy_for(url: SplitResult) -> tuple[SplitResult, dict[str, str]] | None:
     parsed = urlsplit(proxy if "://" in proxy else "http://" + proxy)
     if parsed.scheme != "http" or not parsed.hostname:
         raise ValueError(f"unsupported proxy {proxy!r}: expected http://host[:port]")
-    headers = {}
-    if parsed.username is not None:
-        credentials = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}".encode("utf-8")
-        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials).decode("ascii")
-    return parsed, headers
+    if parsed.username is None:
+        return parsed, ""
+    credentials = f"{unquote(parsed.username)}:{unquote(parsed.password or '')}".encode("utf-8")
+    return parsed, f"Proxy-Authorization: Basic {base64.b64encode(credentials).decode('ascii')}\r\n"
 
 
 def _readable(sock: socket.socket) -> bool:

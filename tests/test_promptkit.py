@@ -321,9 +321,11 @@ COMPLETIONS = st.text() | st.tuples(st.text(max_size=10), REPLIES, st.text(max_s
 # repeat, a score may be out of range, fractional or a bool, and a parameter
 # may be NaN or infinite.
 # One reply carries the fields of all three agents; each kind reads only its
-# own.
+# own. The second kind is a valid tool reply but for one NaN or infinite
+# parameter, possibly nested: only the finite-number check refuses it.
 SHORT = st.sampled_from(["", "a", "b", "ab", "ba", "a\ud800"])
 SHAPED_NODES = st.fixed_dictionaries({"id": SHORT, "subtask": SHORT, "function": SHORT, "status": st.just(0)})
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 SHAPED_REPLIES = st.fixed_dictionaries(
     {
         "nodes": st.lists(SHAPED_NODES, min_size=1, max_size=3),
@@ -332,6 +334,17 @@ SHAPED_REPLIES = st.fixed_dictionaries(
         "answer": SHORT,
         "intra_reflection": st.fixed_dictionaries(
             {"evaluation": SHORT, "score": st.integers(-1, 12) | st.floats(-1, 12) | st.booleans()}
+        ),
+    }
+) | st.fixed_dictionaries(
+    {
+        "function": st.sampled_from(["a", "ab"]),
+        "parameters": st.fixed_dictionaries(
+            {"q": NON_FINITE | st.lists(NON_FINITE, min_size=1, max_size=2).map(lambda items: [items])},
+            optional={"r": st.integers() | st.text(alphabet="ab", max_size=3)},
+        ),
+        "intra_reflection": st.fixed_dictionaries(
+            {"evaluation": st.sampled_from(["a", "ab"]), "score": st.integers(1, 10)}
         ),
     }
 )
