@@ -14,13 +14,12 @@ memory writes happen only in the orchestrator.
 from __future__ import annotations
 
 import hashlib
-import json
 from functools import lru_cache
 from typing import Any, Callable, Generic, Sequence, TypeVar
 
 from .backend import ChatBackend, ChatRequest
 from .memory import LongTermMemory, ShortTermMemory
-from .model import FinalAnswer, Plan, PlanNode, RunConfig, TaskSpec, ToolCall, Value, _set
+from .model import FinalAnswer, Plan, PlanNode, RunConfig, TaskSpec, ToolCall, Value, _set, indented_json
 from .promptkit import (
     MalformedJson,
     NoJsonFound,
@@ -271,7 +270,7 @@ class AgentRunner:
             if quote is not None and attempt < cap:  # quoted once, and only if a later attempt reads it
                 quotes.append(
                     f"Attempt {attempt} (rejected, score {score}/10):\n"
-                    + json.dumps(quote(value), ensure_ascii=False, indent=2)
+                    + indented_json(quote(value))
                     + f"\nIts intra-reflection: {value.reflection.evaluation}"
                 )
         best = max(rejected, key=lambda v: v.reflection.score)  # ties -> earliest

@@ -484,6 +484,8 @@ def _proxy_for(url: SplitResult) -> tuple[SplitResult, str] | None:
     """The proxy that ``http(s)_proxy`` / ``all_proxy`` name for ``url``,
     unless ``no_proxy`` exempts its host, plus the header lines that
     authenticate to it. Only plain-http proxies are supported."""
+    if not any(value and name.lower().endswith("_proxy") for name, value in os.environ.items()):
+        return None  # getproxies() would find none; urllib.request would load http.client and email
     import base64
     from urllib.request import getproxies, proxy_bypass
 

@@ -9,12 +9,11 @@ CSVs for external plotting.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .backend import ChatBackend, ScriptedBackend, ScriptStep, script_from_jsonl
-from .model import PredicateKind, RunConfig, TaskSpec, Value, _set, as_dict, task_from_json
+from .model import PredicateKind, RunConfig, TaskSpec, Value, _set, as_dict, indented_json, task_from_json
 from .orchestrator import RunResult, RunStatus, run_task
 from .sandbox import SandboxRegistry, load_registry
 
@@ -219,6 +218,18 @@ def _run_cell(
     return record, [(e["agent"], e["score"]) for e in result.events if e["kind"] == "agent_output"]
 
 
+def _fold(
+    outcomes: Iterable[tuple[RunRecord, list[tuple[str, int]]]],
+) -> tuple[tuple[RunRecord, ...], dict[str, tuple[int, ...]]]:
+    """The cells' records and score histograms; a cell's scores are counted as the cell ends."""
+    records, histograms = [], {agent: [0] * 10 for agent in AGENTS}
+    for record, scores in outcomes:
+        records.append(record)
+        for agent, score in scores:
+            histograms[agent][score - 1] += 1
+    return tuple(records), {agent: tuple(counts) for agent, counts in histograms.items()}
+
+
 def evaluate(
     suite_dir: Path | str,
     config: RunConfig,
@@ -248,15 +259,9 @@ def evaluate(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda cell: _run_cell(cell[0], cell[1], config, factory), cells))
+            records, histograms = _fold(pool.map(lambda cell: _run_cell(cell[0], cell[1], config, factory), cells))
     else:
-        outcomes = [_run_cell(bundle, repeat, config, factory) for bundle, repeat in cells]
-
-    records = tuple(record for record, _ in outcomes)
-    histograms = {agent: [0] * 10 for agent in AGENTS}
-    for _, scores in outcomes:
-        for agent, score in scores:
-            histograms[agent][score - 1] += 1
+        records, histograms = _fold(_run_cell(bundle, repeat, config, factory) for bundle, repeat in cells)
 
     passes = [0] * repeats
     for r in records:
@@ -274,7 +279,7 @@ def evaluate(
         pass_rate_stdev=statistics.pstdev(per_repeat) if n_tasks else None,
         tokens_total=tokens_total,
         tokens_mean_per_run=tokens_total / len(records) if records else None,
-        histograms={agent: tuple(counts) for agent, counts in histograms.items()},
+        histograms=histograms,
     )
 
 
@@ -317,7 +322,7 @@ def report(result: SuiteResult, out_dir: Path | str) -> dict[str, Path]:
         "histograms": out / "histograms.csv",
         "runs": out / "runs.csv",
     }
-    paths["json"].write_text(json.dumps(as_dict(result), indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    paths["json"].write_text(indented_json(as_dict(result)) + "\n", encoding="utf-8")
     paths["text"].write_text(_text_table(result), encoding="utf-8")
 
     hist_lines = ["agent,score,count"]

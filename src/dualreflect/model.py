@@ -135,6 +135,24 @@ def as_dict(value: Any) -> Any:
     return value
 
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+_LEAVES = {str: _encode, int: int.__repr__, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def indented_json(value: Any, newline: str = "\n") -> str:
+    """What ``json.dumps`` writes with ``ensure_ascii=False`` and an indent of 2,
+    for a JSON value with string keys, nested at ``newline``'s indent. The stdlib's
+    indenting encoder leaves a reference cycle of closures on every call; this leaves none."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [_encode(key) + ": " + indented_json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [indented_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return _LEAVES.get(type(value), _encode)(value)
+
+
 class ParamSpec(Value):
     """One declared tool parameter. ``values`` applies to enum kind only."""
     __slots__ = ("name", "kind", "required", "description", "values")

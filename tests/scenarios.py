@@ -10,6 +10,7 @@ to check against.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -69,6 +70,18 @@ def step(text: str, prompt_tokens: int = 100, completion_tokens: int = 25) -> Sc
 
 def make_backend(steps: list[ScriptStep]) -> ScriptedBackend:
     return ScriptedBackend(steps)
+
+
+def cyclic_garbage(action) -> int:
+    """Objects that only the cyclic garbage collector can free, left behind by
+    ``action()``: the collector is off while it runs, then counts them."""
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 # --- Simple task/registry builders ----------------------------------------------

@@ -22,7 +22,7 @@ from dualreflect.model import (
     TrajectoryStep,
 )
 from dualreflect.promptkit import TemplateName, default_templates
-from scenarios import GARBAGE, answer_json, make_task, planner_json, step, tool_json
+from scenarios import GARBAGE, answer_json, cyclic_garbage, make_task, planner_json, step, tool_json
 
 TOOLS = ["alpha", "beta"]
 TASK = make_task(TOOLS, task_id="agents-task")
@@ -238,6 +238,17 @@ class TestToolAgent:
             base + header + first + footer,
             base + header + first + "\n\n" + second + footer,
         ]
+
+    def test_forced_revision_leaves_no_cyclic_garbage(self):
+        # Quoting a rejected attempt must not leave a reference cycle for the
+        # collector, whose pauses would land inside runs.
+        def forced_revision():
+            r, backend = runner(self.FORCED)
+            r.select_tool(self.node(), [], ShortTermMemory())
+            assert len(backend.requests) == 3
+
+        forced_revision()  # warm-up: template and prompt-hash caches
+        assert cyclic_garbage(forced_revision) == 0
 
     def test_unknown_function_from_model_is_schema_failure(self):
         steps = [

@@ -378,6 +378,20 @@ def test_package_imports_without_requests():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def test_backend_without_proxy_variables_skips_urllib_request():
+    # With no *_proxy variable set there is no proxy to look up, so building a
+    # backend must not load urllib.request, http.client or email for it.
+    import dualreflect
+
+    code = (
+        "import sys; from dualreflect.backend import HttpBackend; HttpBackend(base_url='http://127.0.0.1:9/v1'); "
+        "print(sorted({'http.client', 'email', 'urllib.request'} & set(sys.modules)))"
+    )
+    env = {"PYTHONPATH": str(Path(dualreflect.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_scripted_cli_never_loads_the_http_stack(tmp_path):
     # Scripted eval, run and replay, with http.client, ssl, email, socket,
     # select and concurrent.futures blocked, still write the golden bytes.

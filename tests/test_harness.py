@@ -1,7 +1,10 @@
 """Suite evaluation: pass rates, histograms, reports, sweeps, predicates."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -37,6 +40,7 @@ from scenarios import (
     answer_contains,
     answer_json,
     build_random_scenario,
+    cyclic_garbage,
     expected_calls,
     make_backend,
     make_registry,
@@ -133,6 +137,29 @@ class TestEvaluate:
         monkeypatch.setattr(harness, "run_task", checked_run_task)
         result = evaluate(tmp_path, CFG, repeats=2, jobs=1)
         assert len(earlier) == 6 and [r.passed for r in result.runs] == [True, True, False] * 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_eval_and_report_leave_no_cyclic_garbage(self, tmp_path, jobs):
+        # Cyclic garbage makes the collector run, and pause, inside cells.
+        def eval_and_report(out):
+            report(evaluate(DEMO_SUITE, CFG, repeats=3, jobs=jobs), tmp_path / out)
+
+        eval_and_report("warm-up")  # lazy imports, template and prompt-hash caches
+        assert cyclic_garbage(lambda: eval_and_report("report")) == 0
+
+    def test_gc_probe_counts_the_demo_eval(self):
+        # tests/gc_probe.py, the tool that shows whether collections land in
+        # cells, runs on the demo suite and finds no cyclic garbage there.
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parent.parent)}
+        probe = [sys.executable, str(Path(__file__).parent / "gc_probe.py"), str(DEMO_SUITE)]
+        argv = [*probe, "--repeats", "3", "--jobs", "2", "--evals", "2"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0].startswith(f"suite {DEMO_SUITE} repeats 3 jobs 2 evals 2 cells per eval 6 ")
+        assert [line.split(":")[0] for line in lines[1:4]] == [f"gen{g} collections per eval" for g in range(3)]
+        figures = json.loads(lines[-1])
+        assert figures["cells_per_eval"] == 6 and figures["cyclic_objects_collected_per_eval"] == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_factory_failure_stays_in_its_cell(self, tmp_path, jobs):

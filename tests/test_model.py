@@ -5,6 +5,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualreflect.agents import GateOutcome
 from dualreflect.backend import ChatRequest, TokenTotals
@@ -26,6 +28,7 @@ from dualreflect.model import (
     TrajectoryStep,
     as_dict,
     clamp_score,
+    indented_json,
     task_from_dict,
     task_from_json,
 )
@@ -191,6 +194,34 @@ class TestValue:
             '"success_check": {"kind": "expected_calls", "payload": [{"function": "lookup", "parameters": null}, '
             '{"function": "lookup", "parameters": {"units": "c"}}]}}'
         )
+
+
+# Any text, and short strings of the characters JSON escapes or passes through.
+TEXT = st.text(max_size=8) | st.text('"\\/\x00\x1f\x7f\n\u2028é😀', max_size=4)
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324])
+    | TEXT
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+    ),
+    max_leaves=16,
+)
+
+
+class TestIndentedJson:
+    @settings(max_examples=60, deadline=None)
+    @given(JSON_TREES)
+    def test_equals_json_dumps_with_indent_2(self, value):
+        assert indented_json(value) == json.dumps(value, ensure_ascii=False, indent=2)
 
 
 class TestTaskJson:
