@@ -32,7 +32,6 @@ from .promptkit import (
     render,
     render_related_outputs,
     render_tool_list,
-    render_trajectory,
     tool_call_to_output_dict,
     validate_output,
 )
@@ -106,6 +105,12 @@ class AgentRunner:
     intra-reflection, so score histograms can fold over them).
     """
 
+    #: Most subtasks a plan may hold; a longer one is a schema failure. With
+    #: it, one run makes at most ``max_rounds * (1 + parse_retry_cap) *
+    #: (revision_cap + MAX_NODES * subtask_retry_cap * revision_cap + 1)``
+    #: backend calls.
+    MAX_NODES = 32
+
     def __init__(
         self,
         task: TaskSpec,
@@ -125,19 +130,21 @@ class AgentRunner:
 
     def plan(self, ltm: LongTermMemory) -> GateOutcome[Plan]:
         """Decompose the task, gated on theta_p, with long-term memory in the
-        prompt. A node naming an unknown function is a schema failure and
-        consumes a parse retry."""
+        prompt. A plan of more than ``MAX_NODES`` nodes, or a node naming an
+        unknown function, is a schema failure and consumes a parse retry."""
         base_user = render(
             self.templates[TemplateName.PLANNER_USER],
             {
                 "task_description": self.task.description,
-                "long_memory": ltm.render(self.templates),
+                "long_memory": ltm.render(),
                 "functions": self._functions,
             },
         )
 
         def validate(value: Any) -> Plan:
             plan = validate_output(value, OutputKind.PLANNER)
+            if len(plan.nodes) > self.MAX_NODES:
+                raise SchemaError([f"nodes: {len(plan.nodes)} subtasks, more than the limit of {self.MAX_NODES}"])
             unknown = [n.function for n in plan.nodes if n.function not in self._tool_names]
             if unknown:
                 raise SchemaError([f"nodes: unknown function {name!r}" for name in unknown])
@@ -170,7 +177,7 @@ class AgentRunner:
             {
                 "subtask": node.subtask,
                 "related_outputs": render_related_outputs(related_outputs),
-                "short_memory": stm.render(self.templates),
+                "short_memory": stm.render(),
             },
         )
 
@@ -191,18 +198,17 @@ class AgentRunner:
             node_function=node.function,
         )
 
-    def answer(self, plan: Plan, trajectory: Sequence[Any]) -> GateOutcome[FinalAnswer]:
-        """Synthesize the final answer from the full round trajectory.
+    def answer(self, trajectory: str) -> GateOutcome[FinalAnswer]:
+        """Synthesize the final answer from the round's trajectory text, the
+        ``render_trajectory`` of its plan and steps.
 
         The same gate with a single attempt: a below-theta_a answer comes back
-        with passed=False so the caller can store the trajectory and replan.
+        with passed=False so the caller can store the same text in long-term
+        memory and replan.
         """
         user = render(
             self.templates[TemplateName.ANSWER_USER],
-            {
-                "task_description": self.task.description,
-                "trajectory": render_trajectory(plan, trajectory),
-            },
+            {"task_description": self.task.description, "trajectory": trajectory},
         )
         return self._gated(
             agent="answer",

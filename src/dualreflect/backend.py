@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 from urllib.parse import SplitResult, unquote, urlsplit
 
-from .model import Value, _set, _text, as_dict
+from .model import Value, _canonical_json, _set, _text, as_dict
 
 if TYPE_CHECKING:
     import socket
@@ -128,7 +128,7 @@ def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
 
 def canonical_request(request: ChatRequest) -> str:
     """Stable JSON form used for replay comparison, byte for byte."""
-    return json.dumps(as_dict(request), sort_keys=True, ensure_ascii=False)
+    return _canonical_json(as_dict(request))
 
 
 class ChatBackend:
@@ -138,17 +138,14 @@ class ChatBackend:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._totals = TokenTotals()
+        self._prompt_tokens = self._completion_tokens = self._calls = 0
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         response = self._complete(request)
         with self._lock:
-            t = self._totals
-            self._totals = TokenTotals(
-                t.prompt_tokens + response.prompt_tokens,
-                t.completion_tokens + response.completion_tokens,
-                t.calls + 1,
-            )
+            self._prompt_tokens += response.prompt_tokens
+            self._completion_tokens += response.completion_tokens
+            self._calls += 1
         return response
 
     def _complete(self, request: ChatRequest) -> ChatResponse:
@@ -156,7 +153,7 @@ class ChatBackend:
 
     def token_totals(self) -> TokenTotals:
         with self._lock:
-            return self._totals
+            return TokenTotals(self._prompt_tokens, self._completion_tokens, self._calls)
 
 
 class ScriptStep(Value):
@@ -540,7 +537,7 @@ class RecordingBackend(ChatBackend):
 
     def _complete(self, request: ChatRequest) -> ChatResponse:
         response = self._inner.complete(request)
-        line = json.dumps({**as_dict(response), "request": as_dict(request)}, sort_keys=True, ensure_ascii=False)
+        line = _canonical_json({**as_dict(response), "request": as_dict(request)})
         with self._path.open("a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         return response

@@ -2,9 +2,10 @@
 
 Short-term memory holds failed attempts for the subtask currently being
 executed and empties on subtask success (or when the binding moves to a new
-subtask). Long-term memory holds one record per failed round for the whole
-task and empties only at overall task completion. Both render into the
-corresponding prompt slots via the packaged entry templates.
+subtask). Long-term memory holds one entry per failed round for the whole
+task and empties only at overall task completion. Each store renders an
+entry into its packaged template once, when the entry is recorded, numbered
+by its position; rendering a store for its prompt slot joins those blocks.
 
 Instances are confined to a single task run and never shared.
 """
@@ -13,20 +14,12 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .model import Plan, PlanNode, TrajectoryStep, Value, _set
-from .promptkit import (
-    PromptTemplate,
-    TemplateName,
-    describe_result,
-    render,
-    render_parameters,
-    render_trajectory,
-)
+from .model import PlanNode, ToolCall
+from .promptkit import PromptTemplate, TemplateName, render, render_parameters
 
 __all__ = [
     "EMPTY_MEMORY_TEXT",
     "ShortTermMemory",
-    "LTMRecord",
     "LongTermMemory",
 ]
 
@@ -38,14 +31,15 @@ EMPTY_MEMORY_TEXT = "No previous failed trajectories."
 class ShortTermMemory:
     """Failed attempts on the subtask currently bound, reset on success.
 
-    Entries are the round's own trajectory steps, numbered by position when
-    rendered. ``node_id`` is empty until the first :meth:`bind`.
+    Each entry is one attempt's rendered ``STMEntry`` block. ``node_id`` is
+    empty until the first :meth:`bind`.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, templates: Mapping[TemplateName, PromptTemplate]) -> None:
+        self._template = templates[TemplateName.STM_ENTRY]
         self.node_id = ""
         self.subtask = ""
-        self.entries: list[TrajectoryStep] = []
+        self.entries: list[str] = []
 
     def bind(self, node: PlanNode) -> int:
         """Point the memory at a new subtask attempt sequence.
@@ -59,8 +53,20 @@ class ShortTermMemory:
         self.node_id, self.subtask = node.id, node.subtask
         return cleared
 
-    def record(self, step: TrajectoryStep) -> None:
-        self.entries.append(step)
+    def record(self, call: ToolCall, observation: str) -> None:
+        """Store one failed attempt; ``observation`` is its ``describe_result`` text."""
+        self.entries.append(
+            render(
+                self._template,
+                {
+                    "step": str(len(self.entries) + 1),
+                    "subtask": self.subtask,
+                    "function_name": call.function,
+                    "parameters": render_parameters(call.parameters),
+                    "observation": observation,
+                },
+            )
+        )
 
     def reset(self) -> int:
         """Empty the store (idempotent); returns how many entries it held."""
@@ -68,69 +74,37 @@ class ShortTermMemory:
         self.entries.clear()
         return cleared
 
-    def render(self, templates: Mapping[TemplateName, PromptTemplate]) -> str:
-        if not self.entries:
-            return EMPTY_MEMORY_TEXT
-        template = templates[TemplateName.STM_ENTRY]
-        blocks = [
-            render(
-                template,
-                {
-                    "step": str(i),
-                    "subtask": self.subtask,
-                    "function_name": step.call.function,
-                    "parameters": render_parameters(step.call.parameters),
-                    "observation": describe_result(step.observation),
-                },
-            )
-            for i, step in enumerate(self.entries, 1)
-        ]
-        return "\n\n".join(blocks)
-
-
-class LTMRecord(Value):
-    """One failed round: the plan, every executed step, and why it failed.
-
-    ``inter_reflection`` carries the rejected answer plus its score, or the
-    terminal executor error when a subtask ran out of retries.
-    """
-    __slots__ = ("plan", "trajectory", "inter_reflection")
-
-    def __init__(self, plan: Plan, trajectory: tuple[TrajectoryStep, ...], inter_reflection: str) -> None:
-        _set(self, "plan", plan)
-        _set(self, "trajectory", trajectory)
-        _set(self, "inter_reflection", inter_reflection)
+    def render(self) -> str:
+        return "\n\n".join(self.entries) if self.entries else EMPTY_MEMORY_TEXT
 
 
 class LongTermMemory:
-    """Task-scoped store of whole failed-round trajectories, numbered by
-    position when rendered."""
+    """Task-scoped store of failed rounds, each its rendered ``LTMEntry`` block."""
 
-    def __init__(self) -> None:
-        self.records: list[LTMRecord] = []
+    def __init__(self, templates: Mapping[TemplateName, PromptTemplate]) -> None:
+        self._template = templates[TemplateName.LTM_ENTRY]
+        self.entries: list[str] = []
 
-    def append(self, record: LTMRecord) -> None:
-        self.records.append(record)
+    def record(self, trajectory: str, inter_reflection: str) -> None:
+        """Store one failed round: its ``render_trajectory`` text and why it
+        failed, which is the rejected answer plus its score, or the terminal
+        executor error when a subtask ran out of retries."""
+        self.entries.append(
+            render(
+                self._template,
+                {
+                    "round_index": str(len(self.entries) + 1),
+                    "trajectory": trajectory,
+                    "inter_reflection": inter_reflection,
+                },
+            )
+        )
 
     def reset(self) -> int:
         """Empty the store at overall task completion; returns prior size."""
-        cleared = len(self.records)
-        self.records.clear()
+        cleared = len(self.entries)
+        self.entries.clear()
         return cleared
 
-    def render(self, templates: Mapping[TemplateName, PromptTemplate]) -> str:
-        if not self.records:
-            return EMPTY_MEMORY_TEXT
-        template = templates[TemplateName.LTM_ENTRY]
-        blocks = [
-            render(
-                template,
-                {
-                    "round_index": str(i),
-                    "trajectory": render_trajectory(r.plan, r.trajectory),
-                    "inter_reflection": r.inter_reflection,
-                },
-            )
-            for i, r in enumerate(self.records, 1)
-        ]
-        return "\n\n".join(blocks)
+    def render(self) -> str:
+        return "\n\n".join(self.entries) if self.entries else EMPTY_MEMORY_TEXT

@@ -136,6 +136,9 @@ def as_dict(value: Any) -> Any:
 
 
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+#: ``json.dumps(value, sort_keys=True, ensure_ascii=False)`` without building
+#: an encoder per call: the one-line form of parameters, requests and events.
+_canonical_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 _LEAVES = {str: _encode, int: int.__repr__, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
 
 

@@ -10,16 +10,15 @@ ordered event trace which, under a scripted backend, is bit-deterministic.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from pathlib import Path
 from typing import Any
 
 from .agents import AgentRunner, ParseExhausted
 from .backend import BackendError, ChatBackend, TokenTotals
-from .memory import LongTermMemory, LTMRecord, ShortTermMemory
-from .model import ExecutionStatus, FinalAnswer, Plan, RunConfig, TaskSpec, TrajectoryStep, Value, _set
-from .promptkit import describe_result
+from .memory import LongTermMemory, ShortTermMemory
+from .model import ExecutionStatus, FinalAnswer, RunConfig, TaskSpec, TrajectoryStep, Value, _canonical_json, _set
+from .promptkit import describe_result, render_trajectory
 from .sandbox import SandboxRegistry
 
 __all__ = [
@@ -42,7 +41,9 @@ class RunStatus(str, Enum):
 class TraceRecorder:
     """Ordered event log; each event carries task id, round, and a sequence
     number. Serialization sorts keys so identical runs are identical bytes.
-    ``round`` is the run's only round counter."""
+    ``round`` is the run's only round counter. An event is the keyword dict
+    of its :meth:`emit` call, so no caller passes ``kind``, ``round``,
+    ``seq`` or ``task``."""
 
     def __init__(self, task_id: str):
         self.task_id = task_id
@@ -51,12 +52,16 @@ class TraceRecorder:
         self._seq = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
-        self.events.append({"kind": kind, "round": self.round, "seq": self._seq, "task": self.task_id, **fields})
+        fields["kind"] = kind
+        fields["round"] = self.round
+        fields["seq"] = self._seq
+        fields["task"] = self.task_id
+        self.events.append(fields)
         self._seq += 1
 
 
 def events_to_jsonl(events: list[dict[str, Any]] | tuple[dict[str, Any], ...]) -> str:
-    return "".join(json.dumps(e, sort_keys=True, ensure_ascii=False) + "\n" for e in events)
+    return "".join(_canonical_json(e) + "\n" for e in events)
 
 
 def fold_event_tokens(events: list[dict[str, Any]] | tuple[dict[str, Any], ...]) -> TokenTotals:
@@ -110,9 +115,9 @@ class TaskRun:
         self.config = config
         self.trace = TraceRecorder(task.id)
         self.session = registry.session()
-        self.ltm = LongTermMemory()
-        self.stm = ShortTermMemory()
         self.runner = AgentRunner(task, backend, config, self.trace.emit)
+        self.ltm = LongTermMemory(self.runner.templates)
+        self.stm = ShortTermMemory(self.runner.templates)
         self._best: tuple[FinalAnswer, int] | None = None
 
     def run(self) -> RunResult:
@@ -167,18 +172,19 @@ class TaskRun:
                     cleared = self.stm.reset()
                     self.trace.emit("stm_reset", node=node.id, reason="subtask_success", cleared=cleared)
                     break
-                self.stm.record(step)
+                observation = describe_result(result)
+                self.stm.record(call, observation)
                 self.trace.emit(
                     "stm_record",
                     node=node.id,
                     step=len(self.stm.entries),
                     action=call.function,
-                    observation=describe_result(result),
+                    observation=observation,
                 )
             else:
                 failure = (
                     f"subtask {node.id} failed after {config.subtask_retry_cap} attempts; "
-                    f"last error: {describe_result(result)}"
+                    f"last error: {observation}"
                 )
                 break
 
@@ -190,12 +196,14 @@ class TaskRun:
             "nodes_succeeded": len(related),
         }
 
+        # Rendered once: the answer prompt and long-term memory share it.
+        trajectory_text = render_trajectory(plan, trajectory)
         if failure is not None:
-            self._store_round(plan, trajectory, failure)
+            self._store_round(trajectory_text, failure)
             self.trace.emit("round_end", outcome="execution_failure", **base_fields)
             return False
 
-        answer_out = self.runner.answer(plan, trajectory)
+        answer_out = self.runner.answer(trajectory_text)
         answer = answer_out.accepted
         if self._best is None or answer.reflection.score > self._best[0].reflection.score:
             self._best = (answer, self.trace.round)
@@ -205,17 +213,16 @@ class TaskRun:
             )
             return True
         self._store_round(
-            plan,
-            trajectory,
+            trajectory_text,
             f"Answer (score {answer.reflection.score}/10): {answer.text}\n"
             f"Evaluation: {answer.reflection.evaluation}",
         )
         self.trace.emit("round_end", outcome="rejected", answer_score=answer.reflection.score, **base_fields)
         return False
 
-    def _store_round(self, plan: Plan, trajectory: list[TrajectoryStep], inter_reflection: str) -> None:
-        self.ltm.append(LTMRecord(plan, tuple(trajectory), inter_reflection))
-        self.trace.emit("ltm_append", round_index=self.trace.round, records=len(self.ltm.records))
+    def _store_round(self, trajectory: str, inter_reflection: str) -> None:
+        self.ltm.record(trajectory, inter_reflection)
+        self.trace.emit("ltm_append", round_index=self.trace.round, records=len(self.ltm.entries))
 
     def _finish(self, status: RunStatus, error: str | None = None) -> RunResult:
         cleared = self.stm.reset()

@@ -27,6 +27,7 @@ from .model import (
     ToolSpec,
     TrajectoryStep,
     Value,
+    _canonical_json,
     _set,
     clamp_score,
 )
@@ -362,7 +363,7 @@ def tool_call_to_output_dict(call: ToolCall) -> dict[str, Any]:
 def render_parameters(parameters: Mapping[str, Any]) -> str:
     """Canonical one-line JSON for an argument map; key order is sorted so the
     same call always renders the same bytes."""
-    return json.dumps(parameters, sort_keys=True, ensure_ascii=False)
+    return _canonical_json(parameters)
 
 
 def render_tool_list(tools: Sequence[ToolSpec]) -> str:

@@ -21,11 +21,12 @@ from dualreflect.model import (
     ToolCall,
     TrajectoryStep,
 )
-from dualreflect.promptkit import TemplateName, default_templates
+from dualreflect.promptkit import TemplateName, default_templates, describe_result, render_trajectory
 from scenarios import GARBAGE, answer_json, cyclic_garbage, make_task, planner_json, step, tool_json
 
 TOOLS = ["alpha", "beta"]
 TASK = make_task(TOOLS, task_id="agents-task")
+TEMPLATES = default_templates()
 
 
 def config(theta_p=9, theta_t=8, theta_a=8, revision_cap=3, parse_retry_cap=2):
@@ -48,6 +49,7 @@ def nodes(*functions):
 
 
 def answer_trajectory():
+    """The answer prompt's trajectory text for a two-node round of three steps."""
     plan = Plan(
         nodes=(PlanNode("n1", "s1", "alpha"), PlanNode("n2", "s2", "beta")),
         reflection=IntraReflection(evaluation="plan", score=9),
@@ -58,7 +60,7 @@ def answer_trajectory():
         steps.append(TrajectoryStep(node.id, call, ExecutionResult(ExecutionStatus.OK, f"obs {i}"), 1))
     call = ToolCall("alpha", {"q": "retry"}, IntraReflection(evaluation="pick 3", score=9))
     steps.append(TrajectoryStep("n2", call, ExecutionResult(ExecutionStatus.OK, "obs 3"), 2))
-    return plan, steps
+    return render_trajectory(plan, steps)
 
 
 class TestGate:
@@ -77,7 +79,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha", "beta"), 9, "covers everything")),
         ]
         r, backend = runner(steps)
-        outcome = r.plan(LongTermMemory())
+        outcome = r.plan(LongTermMemory(TEMPLATES))
         assert backend.token_totals().calls == 2
         assert outcome.attempts == 2 and outcome.passed is True
         assert len(outcome.accepted.nodes) == 2
@@ -88,7 +90,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha", "beta"), 9)),
         ]
         r, backend = runner(steps)
-        r.plan(LongTermMemory())
+        r.plan(LongTermMemory(TEMPLATES))
         revision_prompt = backend.requests[1].user
         assert "the first try missed the beta half" in revision_prompt
         assert "Previous Rejected Attempts:" in revision_prompt
@@ -101,7 +103,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha", "beta"), 5, "c")),
         ]
         r, _ = runner(steps)
-        outcome = r.plan(LongTermMemory())
+        outcome = r.plan(LongTermMemory(TEMPLATES))
         assert outcome.passed is False and outcome.attempts == 3
         assert outcome.accepted.reflection.evaluation == "a"  # ties -> earliest
 
@@ -112,7 +114,7 @@ class TestPlanner:
             step(planner_json(nodes("alpha"), 6, "middle")),
         ]
         r, _ = runner(steps)
-        outcome = r.plan(LongTermMemory())
+        outcome = r.plan(LongTermMemory(TEMPLATES))
         assert outcome.accepted.reflection.evaluation == "higher"
 
     def test_unknown_function_consumes_parse_retry(self):
@@ -121,10 +123,30 @@ class TestPlanner:
             step(planner_json(nodes("alpha"), 9, "fixed")),
         ]
         r, backend = runner(steps)
-        outcome = r.plan(LongTermMemory())
+        outcome = r.plan(LongTermMemory(TEMPLATES))
         assert outcome.accepted.nodes[0].function == "alpha"
         assert backend.token_totals().calls == 2
         assert "Correction:" in backend.requests[1].user
+
+    def test_too_many_nodes_gets_one_correction(self):
+        limit = AgentRunner.MAX_NODES
+        steps = [
+            step(planner_json(nodes(*["alpha"] * (limit + 1)), 9, "one subtask too many")),
+            step(planner_json(nodes(*["alpha"] * limit), 9, "at the limit")),
+        ]
+        r, backend = runner(steps)
+        outcome = r.plan(LongTermMemory(TEMPLATES))
+        assert len(outcome.accepted.nodes) == limit and outcome.passed is True
+        assert backend.token_totals().calls == 2
+        assert f"nodes: {limit + 1} subtasks, more than the limit of {limit}" in backend.requests[1].user
+
+    def test_repeated_too_many_nodes_is_parse_exhausted(self):
+        oversized = step(planner_json(nodes(*["beta"] * (AgentRunner.MAX_NODES + 5)), 10))
+        r, backend = runner([oversized] * 2, config(parse_retry_cap=1))
+        with pytest.raises(ParseExhausted) as excinfo:
+            r.plan(LongTermMemory(TEMPLATES))
+        assert excinfo.value.agent == "planner" and excinfo.value.tries == 2
+        assert backend.token_totals().calls == 2
 
     @pytest.mark.parametrize("agent", ["planner", "tool", "answer"])
     def test_parse_exhausted_after_all_retries(self, agent):
@@ -132,9 +154,9 @@ class TestPlanner:
         events = []
         r, backend = runner([step(GARBAGE)] * 3, cfg, events)
         invoke = {
-            "planner": lambda: r.plan(LongTermMemory()),
-            "tool": lambda: r.select_tool(PlanNode("n1", "use the tool", "alpha"), [], ShortTermMemory()),
-            "answer": lambda: r.answer(*answer_trajectory()),
+            "planner": lambda: r.plan(LongTermMemory(TEMPLATES)),
+            "tool": lambda: r.select_tool(PlanNode("n1", "use the tool", "alpha"), [], ShortTermMemory(TEMPLATES)),
+            "answer": lambda: r.answer(answer_trajectory()),
         }[agent]
         with pytest.raises(ParseExhausted) as excinfo:
             invoke()
@@ -145,7 +167,7 @@ class TestPlanner:
     def test_long_memory_slot_filled_with_sentinel_when_fresh(self):
         steps = [step(planner_json(nodes("alpha"), 9))]
         r, backend = runner(steps)
-        r.plan(LongTermMemory())
+        r.plan(LongTermMemory(TEMPLATES))
         assert "No previous failed trajectories." in backend.requests[0].user
 
 
@@ -155,7 +177,7 @@ class TestToolAgent:
 
     def test_boundary_score_passes(self):
         r, _ = runner([step(tool_json("alpha", {"q": "x"}, 8))])
-        outcome = r.select_tool(self.node(), [], ShortTermMemory())
+        outcome = r.select_tool(self.node(), [], ShortTermMemory(TEMPLATES))
         assert outcome.passed is True and outcome.attempts == 1
 
     def test_revision_carries_prior_reflection_text(self):
@@ -164,14 +186,14 @@ class TestToolAgent:
             step(tool_json("alpha", {"q": "good"}, 9)),
         ]
         r, backend = runner(steps)
-        outcome = r.select_tool(self.node(), [], ShortTermMemory())
+        outcome = r.select_tool(self.node(), [], ShortTermMemory(TEMPLATES))
         assert outcome.attempts == 2 and outcome.accepted.parameters == {"q": "good"}
         assert "the query ignores the date" in backend.requests[1].user
 
     def test_divergence_flagged_in_events(self):
         events = []
         r, _ = runner([step(tool_json("beta", {"q": "x"}, 9))], events=events)
-        outcome = r.select_tool(self.node("alpha"), [], ShortTermMemory())
+        outcome = r.select_tool(self.node("alpha"), [], ShortTermMemory(TEMPLATES))
         assert outcome.accepted.function == "beta"
         outputs = [e for e in events if e["kind"] == "agent_output"]
         assert outputs[-1]["divergence"] is True
@@ -179,15 +201,15 @@ class TestToolAgent:
     def test_no_divergence_for_bound_function(self):
         events = []
         r, _ = runner([step(tool_json("alpha", {"q": "x"}, 9))], events=events)
-        r.select_tool(self.node("alpha"), [], ShortTermMemory())
+        r.select_tool(self.node("alpha"), [], ShortTermMemory(TEMPLATES))
         outputs = [e for e in events if e["kind"] == "agent_output"]
         assert outputs[-1]["divergence"] is False
 
     def test_prompt_includes_related_outputs_and_stm(self):
-        stm = ShortTermMemory()
+        stm = ShortTermMemory(TEMPLATES)
         stm.bind(self.node())
         call = ToolCall("alpha", {"q": "old"}, IntraReflection(evaluation="try again", score=8))
-        stm.record(TrajectoryStep("n1", call, ExecutionResult(ExecutionStatus.SIMULATED_FAILURE, "timeout"), 1))
+        stm.record(call, describe_result(ExecutionResult(ExecutionStatus.SIMULATED_FAILURE, "timeout")))
         r, backend = runner([step(tool_json("alpha", {"q": "x"}, 9))])
         r.select_tool(self.node(), [("n0", "previous observation")], stm)
         prompt = backend.requests[0].user
@@ -207,14 +229,14 @@ class TestToolAgent:
         quoted, real = [], agents.tool_call_to_output_dict
         monkeypatch.setattr(agents, "tool_call_to_output_dict", lambda call: quoted.append(call) or real(call))
         r, _ = runner(self.FORCED)
-        outcome = r.select_tool(self.node(), [], ShortTermMemory())
+        outcome = r.select_tool(self.node(), [], ShortTermMemory(TEMPLATES))
         assert outcome.passed is False and outcome.accepted.parameters == {"q": "second"}
         # Each rejected attempt is quoted once, and the last one not at all.
         assert [call.parameters["q"] for call in quoted] == ["café {short_memory}", "second"]
 
     def test_third_prompt_quotes_attempts_one_and_two(self):
         r, backend = runner(self.FORCED)
-        r.select_tool(self.node(), [], ShortTermMemory())
+        r.select_tool(self.node(), [], ShortTermMemory(TEMPLATES))
         first = (
             "Attempt 1 (rejected, score 5/10):\n"
             '{\n  "function": "alpha",\n  "parameters": {\n    "q": "café {short_memory}"\n  },\n'
@@ -244,7 +266,7 @@ class TestToolAgent:
         # collector, whose pauses would land inside runs.
         def forced_revision():
             r, backend = runner(self.FORCED)
-            r.select_tool(self.node(), [], ShortTermMemory())
+            r.select_tool(self.node(), [], ShortTermMemory(TEMPLATES))
             assert len(backend.requests) == 3
 
         forced_revision()  # warm-up: template and prompt-hash caches
@@ -256,31 +278,28 @@ class TestToolAgent:
             step(tool_json("alpha", {"q": "x"}, 9)),
         ]
         r, backend = runner(steps)
-        outcome = r.select_tool(self.node(), [], ShortTermMemory())
+        outcome = r.select_tool(self.node(), [], ShortTermMemory(TEMPLATES))
         assert outcome.accepted.function == "alpha"
         assert backend.token_totals().calls == 2
 
 
 class TestAnswerAgent:
     def test_accepted_at_threshold(self):
-        plan, steps = answer_trajectory()
         r, _ = runner([step(answer_json("all done", 8))])
-        outcome = r.answer(plan, steps)
+        outcome = r.answer(answer_trajectory())
         assert outcome.passed is True and outcome.attempts == 1
 
     def test_rejected_below_threshold_not_revised(self):
-        plan, steps = answer_trajectory()
         # revision_cap=3 and a passing reply queued: the answer still gets one attempt.
         r, backend = runner([step(answer_json("meh", 7)), step(answer_json("better", 9))], config(revision_cap=3))
-        outcome = r.answer(plan, steps)
+        outcome = r.answer(answer_trajectory())
         assert outcome.passed is False and outcome.attempts == 1
         assert outcome.accepted.text == "meh"
         assert backend.token_totals().calls == 1  # no local revision, ever
 
     def test_trajectory_rendered_with_action_observation_blocks(self):
-        plan, steps = answer_trajectory()
         r, backend = runner([step(answer_json("all done", 9))])
-        r.answer(plan, steps)
+        r.answer(answer_trajectory())
         prompt = backend.requests[0].user
         assert prompt.count("Action: ") == 3
         assert prompt.count("Observation: ") == 3
@@ -288,9 +307,8 @@ class TestAnswerAgent:
         assert "n2 [succeeded] beta: s2" in prompt  # plan section present
 
     def test_parse_retry_then_success(self):
-        plan, steps = answer_trajectory()
         r, backend = runner([step(GARBAGE), step(answer_json("all done", 9))])
-        outcome = r.answer(plan, steps)
+        outcome = r.answer(answer_trajectory())
         assert outcome.passed is True and outcome.attempts == 1
         assert backend.token_totals().calls == 2
 
@@ -306,7 +324,7 @@ class TestInvariants:
             step(planner_json(nodes("alpha"), 5)),
         ]
         r, backend = runner(steps, cfg)
-        outcome = r.plan(LongTermMemory())
+        outcome = r.plan(LongTermMemory(TEMPLATES))
         assert outcome.passed is False and outcome.attempts == cfg.revision_cap
         assert backend.token_totals().calls <= cfg.revision_cap * (1 + cfg.parse_retry_cap)
 
@@ -320,7 +338,7 @@ class TestInvariants:
             cfg = config(theta_p=theta)
             steps = [step(planner_json(nodes("alpha"), s)) for s in scores]
             r, _ = runner(steps, cfg)
-            return r.plan(LongTermMemory()).accepted.reflection.score
+            return r.plan(LongTermMemory(TEMPLATES)).accepted.reflection.score
 
         assert accepted_score(threshold) <= accepted_score(threshold + 1)
 
@@ -332,7 +350,7 @@ class TestInvariants:
             step(planner_json(nodes("alpha"), 9)),
         ]
         r, _ = runner(steps, events=events)
-        r.plan(LongTermMemory())
+        r.plan(LongTermMemory(TEMPLATES))
         calls = [e for e in events if e["kind"] == "agent_call"]
         outputs = [e for e in events if e["kind"] == "agent_output"]
         assert len(calls) == 3  # garbage call included

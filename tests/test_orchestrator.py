@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualreflect import agents, harness, memory, orchestrator, promptkit
 from dualreflect.backend import RecordingBackend, ScriptedBackend, script_from_jsonl
 from dualreflect.model import RunConfig, Thresholds
 from dualreflect.orchestrator import RunStatus, events_to_jsonl, fold_event_tokens, run_task
@@ -265,6 +266,29 @@ class TestPromptWiring:
             assert {e["kind"] for e in result.events} <= set(EVENT_KINDS)
             assert [e["seq"] for e in result.events] == list(range(len(result.events)))
             assert all(e["task"] == scenario.task.id for e in result.events)
+
+
+def test_each_round_renders_its_trajectory_once(monkeypatch):
+    # The answer prompt and long-term memory share one rendering per round.
+    calls = []
+    original = promptkit.render_trajectory
+
+    def counted(plan, steps):
+        calls.append(len(steps))
+        return original(plan, steps)
+
+    for module in (agents, harness, memory, orchestrator, promptkit):
+        if getattr(module, "render_trajectory", None) is original:
+            monkeypatch.setattr(module, "render_trajectory", counted)
+    rounds_seen = set()
+    for seed in range(40):
+        scenario = build_random_scenario(seed)
+        calls.clear()
+        result = run_task(scenario.task, scenario.config, scenario.backend(), scenario.registry)
+        if result.status is not RunStatus.ABORTED:
+            assert len(calls) == result.rounds_used, seed
+            rounds_seen.add(result.rounds_used)
+    assert max(rounds_seen) >= 3
 
 
 class TestConcurrentRuns:
