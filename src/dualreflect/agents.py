@@ -142,23 +142,18 @@ class AgentRunner:
         )
 
         def validate(value: Any) -> Plan:
+            nodes = value.get("nodes")  # counted raw, before any node is checked and built
+            if isinstance(nodes, list) and len(nodes) > self.MAX_NODES:
+                raise SchemaError([f"nodes: {len(nodes)} subtasks, more than the limit of {self.MAX_NODES}"])
             plan = validate_output(value, OutputKind.PLANNER)
-            if len(plan.nodes) > self.MAX_NODES:
-                raise SchemaError([f"nodes: {len(plan.nodes)} subtasks, more than the limit of {self.MAX_NODES}"])
             unknown = [n.function for n in plan.nodes if n.function not in self._tool_names]
             if unknown:
                 raise SchemaError([f"nodes: unknown function {name!r}" for name in unknown])
             return plan
 
-        return self._gated(
-            agent="planner",
-            system=self.templates[TemplateName.PLANNER_SYSTEM].body,
-            base_user=base_user,
-            validate=validate,
-            threshold=self.config.thresholds.theta_p,
-            cap=self.config.revision_cap,
-            quote=plan_to_output_dict,
-        )
+        system = self.templates[TemplateName.PLANNER_SYSTEM].body
+        return self._gated("planner", system, base_user, validate, self.config.thresholds.theta_p,
+                           self.config.revision_cap, quote=plan_to_output_dict)
 
     def select_tool(
         self,
@@ -187,16 +182,9 @@ class AgentRunner:
                 raise SchemaError([f"function: unknown function {call.function!r}"])
             return call
 
-        return self._gated(
-            agent="tool",
-            system=self.templates[TemplateName.TOOL_SYSTEM].body,
-            base_user=base_user,
-            validate=validate,
-            threshold=self.config.thresholds.theta_t,
-            cap=self.config.revision_cap,
-            quote=tool_call_to_output_dict,
-            node_function=node.function,
-        )
+        system = self.templates[TemplateName.TOOL_SYSTEM].body
+        return self._gated("tool", system, base_user, validate, self.config.thresholds.theta_t,
+                           self.config.revision_cap, quote=tool_call_to_output_dict, node_function=node.function)
 
     def answer(self, trajectory: str) -> GateOutcome[FinalAnswer]:
         """Synthesize the final answer from the round's trajectory text, the
@@ -210,14 +198,9 @@ class AgentRunner:
             self.templates[TemplateName.ANSWER_USER],
             {"task_description": self.task.description, "trajectory": trajectory},
         )
-        return self._gated(
-            agent="answer",
-            system=self.templates[TemplateName.ANSWER_SYSTEM].body,
-            base_user=user,
-            validate=lambda value: validate_output(value, OutputKind.ANSWER),
-            threshold=self.config.thresholds.theta_a,
-            cap=1,
-        )
+        system = self.templates[TemplateName.ANSWER_SYSTEM].body
+        validate = lambda value: validate_output(value, OutputKind.ANSWER)  # noqa: E731
+        return self._gated("answer", system, user, validate, self.config.thresholds.theta_a, cap=1)
 
     # -- shared machinery ------------------------------------------------------
 
@@ -234,6 +217,7 @@ class AgentRunner:
     ) -> GateOutcome[T]:
         """Up to ``cap`` attempts, each an initial call plus up to parse_retry_cap
         correction re-prompts; raises ParseExhausted when all are unusable."""
+        backend, emit = self.backend, self.emit
         rejected: list[T] = []
         quotes: list[str] = []
         tries = 1 + self.config.parse_retry_cap
@@ -242,9 +226,8 @@ class AgentRunner:
             reason = ""
             for parse_try in range(tries):
                 prompt = user if parse_try == 0 else user + "\n\n" + _CORRECTION.format(reason=reason)
-                request = ChatRequest(system=system, user=prompt, model=self.backend.model)
-                response = self.backend.complete(request)
-                self.emit(
+                response = backend.complete(ChatRequest(system, prompt, backend.model))
+                emit(
                     "agent_call",
                     agent=agent,
                     attempt=attempt,
@@ -262,7 +245,7 @@ class AgentRunner:
                 raise ParseExhausted(agent, tries)
             score = value.reflection.score
             passed = gate(score, threshold)
-            self.emit(
+            emit(
                 "agent_output",
                 agent=agent,
                 attempt=attempt,

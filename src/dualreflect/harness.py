@@ -9,13 +9,16 @@ CSVs for external plotting.
 
 from __future__ import annotations
 
+import os
+import re
+import stat
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .backend import ChatBackend, ScriptedBackend, ScriptStep, script_from_jsonl
 from .model import PredicateKind, RunConfig, TaskSpec, Value, _set, as_dict, indented_json, task_from_json
 from .orchestrator import RunResult, RunStatus, run_task
-from .sandbox import SandboxRegistry, load_registry
+from .sandbox import SandboxRegistry, registry_from_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -65,30 +68,34 @@ class TaskBundle(Value):
         return ScriptedBackend(self.script)
 
 
+def _parse_file(root: Path, name: str, parse: Callable[[str], Any], required: bool = True) -> Any:
+    """``parse`` of the bundle file's text, from one open that does not block
+    on a FIFO; None for an optional file that is not a regular file."""
+    path = root / name
+    try:
+        fd: int | None = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        fd = None
+    if fd is not None and not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
+        fd = None
+    if fd is None:
+        if required:
+            raise SuiteError(f"{root}: missing {name}")
+        return None
+    try:
+        with open(fd, encoding="utf-8") as file:
+            return parse(file.read())
+    except ValueError as exc:
+        raise SuiteError(f"{path}: {exc}") from None
+
+
 def load_bundle(path: Path | str) -> TaskBundle:
     root = Path(path)
-    task_path = root / TASK_FILE
-    sandbox_path = root / SANDBOX_FILE
-    if not task_path.is_file():
-        raise SuiteError(f"{root}: missing {TASK_FILE}")
-    if not sandbox_path.is_file():
-        raise SuiteError(f"{root}: missing {SANDBOX_FILE}")
-    try:
-        task = task_from_json(task_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SuiteError(f"{task_path}: {exc}") from None
-    try:
-        registry = load_registry(sandbox_path)
-    except ValueError as exc:
-        raise SuiteError(f"{sandbox_path}: {exc}") from None
-    _check_specs_agree(task, registry, sandbox_path)
-    script_path = root / SCRIPT_FILE
-    script = None
-    if script_path.is_file():
-        try:
-            script = tuple(script_from_jsonl(script_path.read_text(encoding="utf-8")))
-        except ValueError as exc:
-            raise SuiteError(f"{script_path}: {exc}") from None
+    task = _parse_file(root, TASK_FILE, task_from_json)
+    registry = _parse_file(root, SANDBOX_FILE, registry_from_json)
+    _check_specs_agree(task, registry, root / SANDBOX_FILE)
+    script = _parse_file(root, SCRIPT_FILE, lambda text: tuple(script_from_jsonl(text)), required=False)
     return TaskBundle(task=task, registry=registry, script=script, root=root)
 
 
@@ -290,11 +297,15 @@ def _fmt(value: float | None, suffix: str = "") -> str:
     return "n/a" if value is None else f"{value:.1f}{suffix}"
 
 
+#: A ``runs.csv`` cell holding one of these characters is quoted.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def _csv_cell(value: Any) -> str:
     if value is None:
         return ""
     text = str(value).lower() if isinstance(value, bool) else str(value)
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
 def _text_table(result: SuiteResult) -> str:
@@ -333,6 +344,6 @@ def report(result: SuiteResult, out_dir: Path | str) -> dict[str, Path]:
 
     run_lines = [",".join(RunRecord.__slots__)]
     for r in result.runs:
-        run_lines.append(",".join(_csv_cell(getattr(r, column)) for column in RunRecord.__slots__))
+        run_lines.append(",".join(map(_csv_cell, RunRecord._fields(r))))
     paths["runs"].write_text("\n".join(run_lines) + "\n", encoding="utf-8")
     return paths

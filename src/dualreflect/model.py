@@ -139,21 +139,40 @@ _encode = json.JSONEncoder(ensure_ascii=False).encode
 #: ``json.dumps(value, sort_keys=True, ensure_ascii=False)`` without building
 #: an encoder per call: the one-line form of parameters, requests and events.
 _canonical_json = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-_LEAVES = {str: _encode, int: int.__repr__, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+_quote = json.encoder.encode_basestring  # the C quoting that ``_encode`` reaches for a str
+#: Leaves written by exact type; others (a non-finite float, a subclass, ``{}``) go through ``_encode``.
+_LEAVES = {str: _quote, int: int.__repr__, bool: {True: "true", False: "false"}.get, type(None): lambda _: "null",
+           float: lambda f: float.__repr__(f) if math.isfinite(f) else _encode(f)}
 
 
-def indented_json(value: Any, newline: str = "\n") -> str:
+def indented_json(value: Any) -> str:
     """What ``json.dumps`` writes with ``ensure_ascii=False`` and an indent of 2,
-    for a JSON value with string keys, nested at ``newline``'s indent. The stdlib's
-    indenting encoder leaves a reference cycle of closures on every call; this leaves none."""
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [_encode(key) + ": " + indented_json(item, inner) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [indented_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
-    return _LEAVES.get(type(value), _encode)(value)
+    for a JSON value with string keys. The stdlib's indenting encoder leaves a
+    reference cycle of closures on every call; this leaves none."""
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``value``'s text, nested at ``newline``'s indent, to ``out``. A
+    container writes its leaf children in place and recurses only into containers."""
+    if not (value and isinstance(value, (dict, list, tuple))):
+        out.append(_LEAVES.get(type(value), _encode)(value))
+        return
+    is_dict, inner = isinstance(value, dict), newline + "  "
+    out.append("{" if is_dict else "[")
+    for item in value:
+        out.append(inner)
+        if is_dict:
+            out += _quote(item), ": "
+            item = value[item]
+        if leaf := _LEAVES.get(type(item)):
+            out.append(leaf(item))
+        else:
+            _write_json(item, inner, out)
+        out.append(",")
+    out[-1] = newline + ("}" if is_dict else "]")  # in place of the last comma
 
 
 class ParamSpec(Value):

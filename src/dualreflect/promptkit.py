@@ -231,42 +231,51 @@ def _text_problem(value: Any) -> str | None:
 
 
 def _parameters_problem(value: Any) -> str | None:
-    """Why no trace line can hold ``value``: a NaN or infinite float, or a key
-    or string with a lone surrogate, at any depth. Iterative: ``extract_json``
-    accepts nests deeper than the recursion limit."""
-    stack = [value]
+    """Why a tool call cannot keep ``value`` as its parameters: not an object keyed
+    by strings, or a NaN or infinite float, or a key or string with a lone surrogate,
+    at any depth. Iterative: ``extract_json`` accepts nests deeper than the recursion limit."""
+    if not isinstance(value, dict):
+        return "parameters: expected an object keyed by parameter name"
+    for key in value:
+        if not isinstance(key, str):
+            return "parameters: expected an object keyed by parameter name"
+    stack = [*value, *value.values()]
     while stack:
         item = stack.pop()
-        if isinstance(item, float) and not math.isfinite(item):
-            return "parameters: expected finite numbers"
-        if isinstance(item, str) and not item.isascii() and not _encodes(item):
-            return f"parameters: {_SURROGATE_PROBLEM}"
-        if isinstance(item, dict):
+        if isinstance(item, str):
+            if not item.isascii() and not _encodes(item):
+                return f"parameters: {_SURROGATE_PROBLEM}"
+        elif isinstance(item, dict):
             stack.extend(item)
             stack.extend(item.values())
         elif isinstance(item, list):
             stack.extend(item)
+        elif isinstance(item, float) and not math.isfinite(item):
+            return "parameters: expected finite numbers"
     return None
 
 
 def _reflection_from(raw: Any, problems: list[str]) -> IntraReflection | None:
-    local: list[str] = []
+    """The reply's intra-reflection, or None with its problems appended."""
     if not isinstance(raw, dict):
         problems.append("intra_reflection: expected an object with evaluation and score")
         return None
-    evaluation = raw.get("evaluation")
+    evaluation, score = raw.get("evaluation"), raw.get("score")
     if problem := _text_problem(evaluation):
-        local.append(f"intra_reflection.evaluation: {problem}")
-    score_raw = raw.get("score")
-    if isinstance(score_raw, bool) or not isinstance(score_raw, (int, float)):
-        local.append("intra_reflection.score: expected a number")
-    elif isinstance(score_raw, float) and not math.isfinite(score_raw):
-        local.append("intra_reflection.score: expected a finite number")
-    if local:
-        problems.extend(local)
-        return None
-    score, clamped = clamp_score(score_raw)
-    return IntraReflection(evaluation=evaluation, score=score, clamped=clamped)
+        problems.append(f"intra_reflection.evaluation: {problem}")
+    if type(score) is int and 1 <= score <= 10:
+        return None if problem else IntraReflection(evaluation, score)
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        problems.append("intra_reflection.score: expected a number")
+    elif isinstance(score, float) and not math.isfinite(score):
+        problems.append("intra_reflection.score: expected a finite number")
+    elif not problem:
+        return IntraReflection(evaluation, *clamp_score(score))
+    return None
+
+
+#: Read once: an enum member's ``.value`` is a Python-level property on 3.11.
+_PENDING = NodeStatus.PENDING.value
 
 
 def validate_output(value: Any, kind: OutputKind) -> Plan | ToolCall | FinalAnswer:
@@ -288,40 +297,34 @@ def validate_output(value: Any, kind: OutputKind) -> Plan | ToolCall | FinalAnsw
                 if not isinstance(raw, dict):
                     problems.append(f"nodes[{i}]: expected an object")
                     continue
-                node_id = raw.get("id")
-                subtask = raw.get("subtask")
-                function = raw.get("function")
-                status = raw.get("status")
+                node_id, subtask, function, status = raw.get("id"), raw.get("subtask"), raw.get("function"), raw.get("status")
                 before = len(problems)
                 for name, text in (("id", node_id), ("subtask", subtask), ("function", function)):
                     if problem := _text_problem(text):
                         problems.append(f"nodes[{i}].{name}: {problem}")
-                if isinstance(status, bool) or status != NodeStatus.PENDING.value:
+                if isinstance(status, bool) or status != _PENDING:
                     problems.append(f"nodes[{i}].status: expected 0 (pending)")
                 if len(problems) == before:
                     if node_id in seen:
                         problems.append(f"nodes: duplicate id {node_id!r}")
                     else:
                         seen.add(node_id)
-                        nodes.append(PlanNode(id=node_id, subtask=subtask, function=function))
+                        nodes.append(PlanNode(node_id, subtask, function))
         reflection = _reflection_from(value.get("intra_reflection"), problems)
         if problems:
             raise SchemaError(problems)
-        return Plan(nodes=tuple(nodes), reflection=reflection)
+        return Plan(tuple(nodes), reflection)
 
     if kind is OutputKind.TOOL:
-        function = value.get("function")
-        parameters = value.get("parameters")
+        function, parameters = value.get("function"), value.get("parameters")
         if problem := _text_problem(function):
             problems.append(f"function: {problem}")
-        if not isinstance(parameters, dict) or not all(isinstance(k, str) for k in parameters):
-            problems.append("parameters: expected an object keyed by parameter name")
-        elif problem := _parameters_problem(parameters):
+        if problem := _parameters_problem(parameters):
             problems.append(problem)
         reflection = _reflection_from(value.get("intra_reflection"), problems)
         if problems:
             raise SchemaError(problems)
-        return ToolCall(function=function, parameters=dict(parameters), reflection=reflection)
+        return ToolCall(function, dict(parameters), reflection)
 
     answer = value.get("answer")
     if problem := _text_problem(answer):
@@ -329,7 +332,7 @@ def validate_output(value: Any, kind: OutputKind) -> Plan | ToolCall | FinalAnsw
     reflection = _reflection_from(value.get("intra_reflection"), problems)
     if problems:
         raise SchemaError(problems)
-    return FinalAnswer(text=answer, reflection=reflection)
+    return FinalAnswer(answer, reflection)
 
 
 # --- Typed value -> output JSON (used when quoting a prior attempt back) -----
@@ -342,7 +345,7 @@ def _reflection_dict(reflection: IntraReflection) -> dict[str, Any]:
 def plan_to_output_dict(plan: Plan) -> dict[str, Any]:
     return {
         "nodes": [
-            {"id": n.id, "status": NodeStatus.PENDING.value, "subtask": n.subtask, "function": n.function}
+            {"id": n.id, "status": _PENDING, "subtask": n.subtask, "function": n.function}
             for n in plan.nodes
         ],
         "intra_reflection": _reflection_dict(plan.reflection),

@@ -38,6 +38,7 @@ __all__ = [
     "ExecutionStatus",
     "load_registry",
     "registry_from_dict",
+    "registry_from_json",
 ]
 
 
@@ -62,12 +63,14 @@ class BehaviorRule(Value):
 
 
 class SandboxTool(Value):
-    __slots__ = ("spec", "default", "rules")
+    """A tool's spec and behaviour; ``_names``, its parameter names, is built once at load."""
+    __slots__ = ("spec", "default", "rules", "_names")
 
     def __init__(self, spec: ToolSpec, default: ExecutionResult, rules: tuple[BehaviorRule, ...] = ()) -> None:
         _set(self, "spec", spec)
         _set(self, "default", default)
         _set(self, "rules", rules)
+        _set(self, "_names", frozenset(p.name for p in spec.parameters))
 
 
 class SandboxRegistry:
@@ -107,7 +110,7 @@ class SandboxSession:
         tool = self._registry.get(call.function)
         if tool is None:
             return ExecutionResult(ExecutionStatus.TOOL_NOT_FOUND, f"unknown function: {call.function}")
-        problems = _check_parameters(tool.spec, call.parameters)
+        problems = _check_parameters(tool, call.parameters)
         if problems:
             return ExecutionResult(ExecutionStatus.INVALID_PARAMETERS, "; ".join(problems))
         self._counters[call.function] = index = self._counters.get(call.function, 0) + 1
@@ -117,35 +120,30 @@ class SandboxSession:
         return tool.default
 
 
-def _check_parameters(spec: ToolSpec, parameters: Mapping[str, Any]) -> list[str]:
-    declared = {p.name: p for p in spec.parameters}
-    problems = []
-    for p in spec.parameters:
-        if p.required and p.name not in parameters:
-            problems.append(f"missing required parameter: {p.name}")
-    for name in parameters:
-        if name not in declared:
-            problems.append(f"unknown parameter: {name}")
-    for p in spec.parameters:
-        if p.name in parameters:
-            problems.extend(_check_kind(p, parameters[p.name]))
-    return problems
+def _check_parameters(tool: SandboxTool, parameters: Mapping[str, Any]) -> list[str]:
+    """Missing required parameters in spec order, then unknown ones in call
+    order, then wrongly kinded ones in spec order."""
+    missing, wrong = [], []
+    for p in tool.spec.parameters:
+        if p.name not in parameters:
+            if p.required:
+                missing.append(f"missing required parameter: {p.name}")
+        elif problem := _kind_problem(p, parameters[p.name]):
+            wrong.append(problem)
+    return missing + [f"unknown parameter: {name}" for name in parameters if name not in tool._names] + wrong
 
 
-def _check_kind(param: ParamSpec, value: Any) -> list[str]:
+#: Each parameter kind's JSON type; only a boolean parameter takes a bool.
+_KIND_TYPES = {ParamKind.STRING: str, ParamKind.NUMBER: (int, float), ParamKind.BOOLEAN: bool, ParamKind.ENUM: str}
+
+
+def _kind_problem(param: ParamSpec, value: Any) -> str | None:
     kind = param.kind
-    if kind is ParamKind.STRING and not isinstance(value, str):
-        return [f"wrong type for parameter {param.name}: expected string"]
-    if kind is ParamKind.NUMBER and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        return [f"wrong type for parameter {param.name}: expected number"]
-    if kind is ParamKind.BOOLEAN and not isinstance(value, bool):
-        return [f"wrong type for parameter {param.name}: expected boolean"]
-    if kind is ParamKind.ENUM:
-        if not isinstance(value, str):
-            return [f"wrong type for parameter {param.name}: expected enum"]
-        if param.values and value not in param.values:
-            return [f"invalid value for parameter {param.name}: expected one of {', '.join(param.values)}"]
-    return []
+    if not isinstance(value, _KIND_TYPES[kind]) or isinstance(value, bool) and kind is not ParamKind.BOOLEAN:
+        return f"wrong type for parameter {param.name}: expected {kind.value}"
+    if param.values and kind is ParamKind.ENUM and value not in param.values:
+        return f"invalid value for parameter {param.name}: expected one of {', '.join(param.values)}"
+    return None
 
 
 # --- Suite file loading -------------------------------------------------------
@@ -210,11 +208,14 @@ def registry_from_dict(data: Any) -> SandboxRegistry:
     return SandboxRegistry(tools)
 
 
+def registry_from_json(text: str) -> SandboxRegistry:
+    try:
+        return registry_from_dict(json.loads(text))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"suite file is not valid JSON: {exc}") from None
+
+
 def load_registry(path: Path | str) -> SandboxRegistry:
     """Parse a suite file into a registry; schema violations raise
     :class:`ValueError` carrying the path of the offending entry."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"suite file is not valid JSON: {exc}") from None
-    return registry_from_dict(data)
+    return registry_from_json(Path(path).read_text(encoding="utf-8"))

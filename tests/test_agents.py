@@ -1,6 +1,7 @@
 """Gating, revision loops, parse retries, and prompt assembly per agent."""
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,21 @@ class TestPlanner:
         assert len(outcome.accepted.nodes) == limit and outcome.passed is True
         assert backend.token_totals().calls == 2
         assert f"nodes: {limit + 1} subtasks, more than the limit of {limit}" in backend.requests[1].user
+
+    def test_huge_plan_is_refused_before_validation(self, monkeypatch):
+        # 100,000 nodes, one of them malformed: the raw count decides, so no node is checked or built.
+        huge = [{"id": f"n{i}", "status": 0, "subtask": "s", "function": "alpha"} for i in range(100_000)]
+        huge[5]["status"] = 7
+        reply = json.dumps({"nodes": huge, "intra_reflection": {"evaluation": "big", "score": 9}})
+        validated = []
+        real = agents.validate_output
+        monkeypatch.setattr(agents, "validate_output", lambda value, kind: validated.append(kind) or real(value, kind))
+        r, backend = runner([step(reply), step(planner_json(nodes("alpha"), 9, "small"))])
+        outcome = r.plan(LongTermMemory(TEMPLATES))
+        assert len(outcome.accepted.nodes) == 1 and backend.token_totals().calls == 2
+        assert sum("Correction:" in request.user for request in backend.requests) == 1
+        assert "nodes: 100000 subtasks, more than the limit of 32" in backend.requests[1].user
+        assert len(validated) == 1  # the second, small reply only
 
     def test_repeated_too_many_nodes_is_parse_exhausted(self):
         oversized = step(planner_json(nodes(*["beta"] * (AgentRunner.MAX_NODES + 5)), 10))

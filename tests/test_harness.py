@@ -1,10 +1,12 @@
 """Suite evaluation: pass rates, histograms, reports, sweeps, predicates."""
 
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -264,6 +266,35 @@ class TestEvaluate:
             load_bundle(tmp_path / "t")
         assert str(err.value) == f"{tmp_path / 't'}: missing {name}"
 
+    @pytest.mark.parametrize("what", ["directory", "dangling-symlink", "fifo"])
+    @pytest.mark.parametrize("name", ["task.json", "sandbox.json", "script.jsonl"])
+    def test_file_that_is_not_a_regular_file_is_missing(self, tmp_path, name, what):
+        write_bundle(tmp_path / "t", make_task(["alpha"], task_id="t"), make_registry(["alpha"]), passing_steps())
+        path = tmp_path / "t" / name
+        path.unlink()
+        if what == "directory":
+            path.mkdir()
+        elif what == "dangling-symlink":
+            path.symlink_to(tmp_path / "absent")
+        else:
+            os.mkfifo(path)
+        errors = []
+
+        def load():  # in a thread, so that an open that waits for a FIFO writer fails the test
+            try:  # load_suite skips a directory without a task.json file; it needs the script
+                load_suite(tmp_path) if name == "script.jsonl" else load_bundle(tmp_path / "t")
+            except SuiteError as exc:
+                errors.append(str(exc))
+
+        thread = threading.Thread(target=load, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        if name == "script.jsonl":
+            assert errors == [f"scripted suite is missing backend scripts: {tmp_path / 't'}"]
+        else:
+            assert errors == [f"{tmp_path / 't'}: missing {name}"]
+
     def test_missing_suite_directory_is_a_suite_error(self, tmp_path):
         with pytest.raises(SuiteError, match="^suite directory not found: "):
             load_suite(tmp_path / "absent")
@@ -329,6 +360,19 @@ class TestReport:
         result = harness.SuiteResult(harness.SCHEMA_VERSION, 1, (), (record,), None, (), None, 0, None, {})
         runs = report(result, tmp_path / "out")["runs"].read_text(encoding="utf-8")
         assert runs.endswith('t,1,aborted,false,0,0,,0,0,0,"a, ""b""\nc"\n')
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(st.text(alphabet=',"\r\nab é', max_size=6), st.none() | st.text(max_size=8)), max_size=4))
+    def test_runs_csv_reads_back_as_the_cell_texts(self, tmp_path, cells):
+        records = tuple(
+            harness.RunRecord(task_id, 1, "aborted", False, 0, 0, None, 0, 0, 0, error=error) for task_id, error in cells
+        )
+        result = harness.SuiteResult(harness.SCHEMA_VERSION, 1, (), records, None, (), None, 0, None, {})
+        with report(result, tmp_path / "out")["runs"].open(encoding="utf-8", newline="") as file:
+            rows = list(csv.reader(file))
+        assert rows == [list(harness.RunRecord.__slots__)] + [
+            [task_id, "1", "aborted", "false", "0", "0", "", "0", "0", "0", error or ""] for task_id, error in cells
+        ]
 
     def test_empty_suite_reports_na(self, tmp_path):
         (tmp_path / "suite").mkdir()

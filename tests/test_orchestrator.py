@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualreflect import agents, harness, memory, orchestrator, promptkit
-from dualreflect.backend import RecordingBackend, ScriptedBackend, script_from_jsonl
-from dualreflect.model import RunConfig, Thresholds
+from dualreflect.backend import ChatBackend, ChatResponse, RecordingBackend, ScriptedBackend, script_from_jsonl
+from dualreflect.model import ExecutionResult, ExecutionStatus, RunConfig, Thresholds
 from dualreflect.orchestrator import RunStatus, events_to_jsonl, fold_event_tokens, run_task
+from dualreflect.sandbox import BehaviorRule, SandboxRegistry, SandboxTool
 from scenarios import (
     GARBAGE,
     answer_json,
@@ -373,3 +374,104 @@ class TestRandomizedScenarios:
                 assert len(ok) <= 1
                 if ok:
                     assert node_execs[-1]["status"] == "ok"  # success ends the attempts
+
+
+def call_bound(config, nodes):
+    """README's worst case of backend calls per run, with ``nodes`` in the
+    place of ``AgentRunner.MAX_NODES``."""
+    per_round = config.revision_cap + nodes * config.subtask_retry_cap * config.revision_cap + 1
+    return config.max_rounds * (1 + config.parse_retry_cap) * per_round
+
+
+def flaky_registry():
+    """One tool, ``alpha``, whose call fails when ``q`` is ``"bad"``."""
+    tool = make_registry(["alpha"]).get("alpha")
+    failure = ExecutionResult(ExecutionStatus.SIMULATED_FAILURE, "alpha refused a bad q")
+    return SandboxRegistry([SandboxTool(tool.spec, tool.default, (BehaviorRule(failure, params={"q": "bad"}),))])
+
+
+class AgentPolicyBackend(ChatBackend):
+    """Answers each agent from its own list of reply kinds, in turn, so every
+    reply fits the agent that asked; the list repeats when it runs out."""
+
+    def __init__(self, nodes, replies):
+        super().__init__()
+        templates = promptkit.default_templates()
+        system = {name: templates[name].body for name in promptkit.TemplateName}
+        self._agent = {
+            system[promptkit.TemplateName.PLANNER_SYSTEM]: "planner",
+            system[promptkit.TemplateName.TOOL_SYSTEM]: "tool",
+            system[promptkit.TemplateName.ANSWER_SYSTEM]: "answer",
+        }
+        plan = [(f"n{i}", f"use alpha {i}", "alpha") for i in range(1, nodes + 1)]
+        self._texts = {
+            ("planner", "pass"): planner_json(plan, 9),
+            ("planner", "below"): planner_json(plan, 3, "weak plan"),
+            ("tool", "pass"): tool_json("alpha", {"q": "good"}, 9),
+            ("tool", "below"): tool_json("alpha", {"q": "good"}, 3),
+            ("tool", "fails"): tool_json("alpha", {"q": "bad"}, 9),
+            ("answer", "pass"): answer_json("done", 9),
+            ("answer", "below"): answer_json("not quite", 3),
+        }
+        self._replies, self._served = replies, {"planner": 0, "tool": 0, "answer": 0}
+
+    def _complete(self, request):
+        agent = self._agent[request.system]
+        kinds_of_agent = self._replies[agent]
+        kind = kinds_of_agent[self._served[agent] % len(kinds_of_agent)]
+        self._served[agent] += 1
+        return ChatResponse(GARBAGE if kind == "garbage" else self._texts[agent, kind], 10, 5)
+
+
+CAPS = st.integers(1, 2)
+REPLY_KINDS = {
+    "planner": st.lists(st.sampled_from(["pass", "below", "garbage"]), min_size=1, max_size=8),
+    "tool": st.lists(st.sampled_from(["pass", "below", "fails", "garbage"]), min_size=1, max_size=8),
+    "answer": st.lists(st.sampled_from(["pass", "below", "garbage"]), min_size=1, max_size=8),
+}
+
+
+class TestCallBound:
+    @settings(max_examples=150, deadline=None)
+    @given(CAPS, CAPS, CAPS, CAPS, st.integers(1, 3), st.fixed_dictionaries(REPLY_KINDS))
+    def test_backend_calls_never_exceed_the_bound(self, rounds, revisions, retries, parse_retries, nodes, replies):
+        config = RunConfig(max_rounds=rounds, revision_cap=revisions, subtask_retry_cap=retries,
+                           parse_retry_cap=parse_retries)
+        result = run_task(make_task(["alpha"]), config, AgentPolicyBackend(nodes, replies), flaky_registry())
+        calls = result.events[-1]["backend_calls"]
+        assert calls == result.token_totals.calls
+        assert calls <= call_bound(config, nodes) <= call_bound(config, agents.AgentRunner.MAX_NODES)
+        # Each loop of the bound stays inside its own cap.
+        assert result.rounds_used <= rounds
+        for event in result.events:
+            if event["kind"] == "agent_call":
+                assert event["parse_try"] <= parse_retries
+                assert event["attempt"] <= (1 if event["agent"] == "answer" else revisions)
+            elif event["kind"] == "execute":
+                assert event["attempt"] <= retries
+
+    @pytest.mark.parametrize("caps", [(1, 1, 1, 1), (2, 2, 2, 2), (2, 1, 2, 1), (1, 2, 1, 2)])
+    def test_all_worst_case_script_reaches_the_bound(self, caps):
+        rounds, revisions, retries, parse_retries = caps
+        config = RunConfig(max_rounds=rounds, revision_cap=revisions, subtask_retry_cap=retries,
+                           parse_retry_cap=parse_retries)
+        limit = agents.AgentRunner.MAX_NODES
+        plan = [(f"n{i}", f"use alpha {i}", "alpha") for i in range(1, limit + 1)]
+
+        def attempt(reply):  # every parse try spent: garbage, then a usable reply
+            return [step(GARBAGE)] * parse_retries + [step(reply)]
+
+        script = []
+        for _ in range(rounds):
+            for _ in range(revisions):  # every plan is below its gate, so every revision runs
+                script += attempt(planner_json(plan, 3, "weak plan"))
+            for _ in range(limit):
+                for node_attempt in range(1, retries + 1):  # only the last attempt succeeds
+                    q = "good" if node_attempt == retries else "bad"
+                    for _ in range(revisions):
+                        script += attempt(tool_json("alpha", {"q": q}, 3))
+            script += attempt(answer_json("not quite", 3))  # every answer is rejected
+        backend = make_backend(script)
+        result = run_task(make_task(["alpha"]), config, backend, flaky_registry())
+        assert result.status is RunStatus.EXHAUSTED and result.rounds_used == rounds
+        assert result.events[-1]["backend_calls"] == len(script) == call_bound(config, limit)

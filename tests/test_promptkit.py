@@ -258,8 +258,9 @@ class TestValidateOutput:
             (OutputKind.PLANNER, {"nodes": [5]}, "nodes[0]: expected an object"),
             (OutputKind.TOOL, {"function": "f", "parameters": [1]}, "parameters: expected an object keyed by parameter name"),
             (OutputKind.ANSWER, {"answer": "done", "intra_reflection": 5}, "intra_reflection: expected an object with evaluation and score"),
+            (OutputKind.TOOL, {"function": "f", "parameters": {1: "x"}}, "parameters: expected an object keyed by parameter name"),
         ],
-        ids=["nodes", "node", "parameters", "intra_reflection"],
+        ids=["nodes", "node", "parameters", "intra_reflection", "parameter-key"],
     )  # fmt: skip
     def test_mistyped_field_is_named(self, kind, reply, problem):
         with pytest.raises(SchemaError) as err:
