@@ -36,7 +36,7 @@ from .model import (
     TrajectoryStep,
 )
 from .orchestrator import RunResult, RunStatus, run_task
-from .sandbox import SandboxRegistry, load_registry
+from .sandbox import SandboxRegistry
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,5 @@ __all__ = [
     "RunStatus",
     "run_task",
     "SandboxRegistry",
-    "load_registry",
     "__version__",
 ]

@@ -114,7 +114,9 @@ class TokenTotals(Value):
         _set(self, "calls", calls)
 
 
-def _request_from_dict(data: dict[str, Any]) -> ChatRequest:
+def _request_from_dict(data: Any) -> ChatRequest:
+    if not isinstance(data, dict):
+        raise TypeError("request must be an object")
     temperature = data.get("temperature", 0.0)
     if isinstance(temperature, bool) or not isinstance(temperature, (int, float)) or not math.isfinite(temperature):
         raise ValueError(f"request temperature must be a finite number, got {temperature!r}")

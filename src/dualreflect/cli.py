@@ -147,7 +147,8 @@ def _cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     return 1 if any(r.status == RunStatus.ABORTED.value for r in result.runs) else 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace, config: RunConfig) -> int:
+    """``validate`` has no config flags: ``config`` is the defaults, unused."""
     if args.suite is not None:
         print(f"suite ok: {len(load_suite(args.suite, require_scripts=False))} task(s)")
     elif args.task.is_dir():
@@ -167,20 +168,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "validate":
-        config = None
-    else:
-        try:
-            config = resolve_config(args)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, config)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_run(args, config)
+        config = resolve_config(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return {"eval": _cmd_eval, "validate": _cmd_validate}.get(args.command, _cmd_run)(args, config)
     except (SuiteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

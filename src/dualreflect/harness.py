@@ -226,15 +226,35 @@ def _run_cell(
 
 
 def _fold(
-    outcomes: Iterable[tuple[RunRecord, list[tuple[str, int]]]],
-) -> tuple[tuple[RunRecord, ...], dict[str, tuple[int, ...]]]:
-    """The cells' records and score histograms; a cell's scores are counted as the cell ends."""
-    records, histograms = [], {agent: [0] * 10 for agent in AGENTS}
-    for record, scores in outcomes:
+    task_ids: tuple[str, ...], repeats: int, cells: Iterable[tuple[RunRecord, list[tuple[str, int]]]]
+) -> SuiteResult:
+    """The eval's aggregates, each cell counted once as it ends. Cells may
+    come in any order: the runs are sorted by (repeat, task id), and every
+    other figure is a sum over cells."""
+    import statistics
+
+    records, passes, tokens_total = [], [0] * repeats, 0
+    histograms = {agent: [0] * 10 for agent in AGENTS}
+    for record, scores in cells:
         records.append(record)
+        passes[record.repeat - 1] += record.passed
+        tokens_total += record.prompt_tokens + record.completion_tokens
         for agent, score in scores:
             histograms[agent][score - 1] += 1
-    return tuple(records), {agent: tuple(counts) for agent, counts in histograms.items()}
+    records.sort(key=lambda r: (r.repeat, r.task_id))
+    per_repeat = [100.0 * count / len(task_ids) for count in passes] if task_ids else []
+    return SuiteResult(
+        schema_version=SCHEMA_VERSION,
+        repeats=repeats,
+        task_ids=task_ids,
+        runs=tuple(records),
+        pass_rate=statistics.fmean(per_repeat) if per_repeat else None,
+        pass_rate_per_repeat=tuple(per_repeat),
+        pass_rate_stdev=statistics.pstdev(per_repeat) if per_repeat else None,
+        tokens_total=tokens_total,
+        tokens_mean_per_run=tokens_total / len(records) if records else None,
+        histograms={agent: tuple(counts) for agent, counts in histograms.items()},
+    )
 
 
 def evaluate(
@@ -244,50 +264,29 @@ def evaluate(
     jobs: int = 1,
     backend_factory: BackendFactory | None = None,
 ) -> SuiteResult:
-    """Run every task in the suite ``repeats`` times.
+    """Run every task in the suite ``repeats`` times and fold the cells.
 
     By default each run gets its own scripted backend from the bundle's
     script; pass ``backend_factory`` to evaluate against something else
     (e.g. a live endpoint). A task that aborts is recorded as a fail and
-    never halts the suite. Aggregation is order-independent, so ``jobs`` > 1
-    changes nothing but wall time.
+    never halts the suite. The fold does not depend on the order in which
+    cells finish, so ``jobs`` > 1 changes nothing but wall time.
     """
-    import statistics
-
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     bundles = load_suite(suite_dir, require_scripts=backend_factory is None)
     factory = backend_factory if backend_factory is not None else (lambda bundle: bundle.make_backend())
-    # Built in (repeat, task id) order, which pool.map keeps: the runs need no sort.
+    task_ids = tuple(b.task.id for b in bundles)
     cells = [(bundle, repeat) for repeat in range(1, repeats + 1) for bundle in bundles]
-    if jobs > 1 and cells:
-        from concurrent.futures import ThreadPoolExecutor
+    run = lambda cell: _run_cell(*cell, config, factory)  # noqa: E731
+    if jobs == 1 or not cells:
+        return _fold(task_ids, repeats, map(run, cells))
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records, histograms = _fold(pool.map(lambda cell: _run_cell(cell[0], cell[1], config, factory), cells))
-    else:
-        records, histograms = _fold(_run_cell(bundle, repeat, config, factory) for bundle, repeat in cells)
-
-    passes = [0] * repeats
-    for r in records:
-        passes[r.repeat - 1] += r.passed
-    n_tasks = len(bundles)
-    per_repeat = [100.0 * count / n_tasks if n_tasks else 0.0 for count in passes]
-    tokens_total = sum(r.prompt_tokens + r.completion_tokens for r in records)
-    return SuiteResult(
-        schema_version=SCHEMA_VERSION,
-        repeats=repeats,
-        task_ids=tuple(b.task.id for b in bundles),
-        runs=records,
-        pass_rate=statistics.fmean(per_repeat) if n_tasks else None,
-        pass_rate_per_repeat=tuple(per_repeat) if n_tasks else (),
-        pass_rate_stdev=statistics.pstdev(per_repeat) if n_tasks else None,
-        tokens_total=tokens_total,
-        tokens_mean_per_run=tokens_total / len(records) if records else None,
-        histograms=histograms,
-    )
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return _fold(task_ids, repeats, pool.map(run, cells))
 
 
 # --- Serialization and reports --------------------------------------------------

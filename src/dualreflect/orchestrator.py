@@ -49,15 +49,13 @@ class TraceRecorder:
         self.task_id = task_id
         self.round = 0
         self.events: list[dict[str, Any]] = []
-        self._seq = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
         fields["kind"] = kind
         fields["round"] = self.round
-        fields["seq"] = self._seq
+        fields["seq"] = len(self.events)
         fields["task"] = self.task_id
         self.events.append(fields)
-        self._seq += 1
 
 
 def events_to_jsonl(events: list[dict[str, Any]] | tuple[dict[str, Any], ...]) -> str:

@@ -13,7 +13,6 @@ per-run session so concurrent runs never share executor state.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from typing import Any, Mapping
 
 from .model import (
@@ -36,7 +35,6 @@ __all__ = [
     "SandboxSession",
     "ExecutionResult",
     "ExecutionStatus",
-    "load_registry",
     "registry_from_dict",
     "registry_from_json",
 ]
@@ -213,9 +211,3 @@ def registry_from_json(text: str) -> SandboxRegistry:
         return registry_from_dict(json.loads(text))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"suite file is not valid JSON: {exc}") from None
-
-
-def load_registry(path: Path | str) -> SandboxRegistry:
-    """Parse a suite file into a registry; schema violations raise
-    :class:`ValueError` carrying the path of the offending entry."""
-    return registry_from_json(Path(path).read_text(encoding="utf-8"))

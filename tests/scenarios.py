@@ -483,6 +483,11 @@ BROKEN_BUNDLES = {
         ) + "\n",
         "bad script line 2: request user holds a lone surrogate",
     ),
+    "script-request-not-object": (
+        "script.jsonl",
+        lambda text: text + '{"text": "x", "prompt_tokens": 1, "completion_tokens": 1, "request": null}\n',
+        "bad script line 2: request must be an object",
+    ),
     "task-parameter-name-empty": (
         "task.json",
         _edit_json(lambda d: d["tools"][0]["parameters"][0].update(name="")),

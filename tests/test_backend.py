@@ -520,6 +520,12 @@ class TestRecordReplay:
         with pytest.raises(ValueError, match="^bad script line 2: request temperature must be a finite number, got "):
             script_from_jsonl("\n" + self.CAPTURE_LINE % f', "temperature": {raw}')
 
+    @pytest.mark.parametrize("raw", ["null", "[1]", '"x"', "0", "true"])
+    def test_capture_request_must_be_an_object(self, raw):
+        line = '{"text": "r", "prompt_tokens": 1, "completion_tokens": 1, "request": %s}' % raw
+        with pytest.raises(ValueError, match="^bad script line 2: request must be an object$"):
+            script_from_jsonl("\n" + line)
+
     @pytest.mark.parametrize("raw, expected", [(None, 0.0), ("0", 0.0), ("0.7", 0.7), ("2", 2.0)])
     def test_capture_temperature_number_or_absent_loads(self, raw, expected):
         (loaded,) = script_from_jsonl(self.CAPTURE_LINE % ("" if raw is None else f', "temperature": {raw}'))

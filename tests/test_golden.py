@@ -3,9 +3,10 @@
 ``tests/golden/`` holds the ``run --trace-out`` trace of every ``suites/demo``
 bundle and the four report files of ``eval --suite suites/demo --repeats 3``.
 Every test here regenerates them through ``cli.main`` and compares bytes; the
-eval runs at ``--jobs 1`` and at ``--jobs 2``. One sha256 covers the trace and
-every system and user prompt of the 200 seeded random scenarios plus the case
-study. A refactor that keeps behaviour keeps all of these unchanged.
+eval runs at ``--jobs 1`` and at ``--jobs 2``, and its cells also fold to the
+same reports in any order. One sha256 covers the trace and every system and
+user prompt of the 200 seeded random scenarios plus the case study. A
+refactor that keeps behaviour keeps all of these unchanged.
 
 To re-record after an intended behaviour change::
 
@@ -17,12 +18,17 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dualreflect import harness
 from dualreflect.backend import ScriptedBackend
 from dualreflect.cli import main
+from dualreflect.model import RunConfig
 from dualreflect.orchestrator import run_task
 from scenarios import (
     build_random_scenario,
@@ -76,6 +82,27 @@ def test_demo_eval_reports_match_golden(jobs, tmp_path):
     write_reports(tmp_path, jobs)
     for name in REPORT_FILES:
         assert (tmp_path / name).read_bytes() == (GOLDEN / "eval" / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def demo_cells():
+    """The (record, scores) outcome of every cell of the golden eval, in cell order."""
+    bundles = harness.load_suite(DEMO_SUITE)
+    return [
+        harness._run_cell(bundle, repeat, RunConfig(), lambda b: b.make_backend())
+        for repeat in range(1, EVAL_REPEATS + 1)
+        for bundle in bundles
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.permutations(range(len(DEMO_TASKS) * EVAL_REPEATS)))
+def test_cells_fold_to_the_golden_reports_in_any_order(demo_cells, order):
+    result = harness._fold(DEMO_TASKS, EVAL_REPEATS, [demo_cells[i] for i in order])
+    with tempfile.TemporaryDirectory() as out:
+        harness.report(result, out)
+        for name in REPORT_FILES:
+            assert (Path(out) / name).read_bytes() == (GOLDEN / "eval" / name).read_bytes(), name
 
 
 def test_scenario_traces_and_prompts_match_digest():

@@ -566,16 +566,12 @@ class TestSweeps:
         assert (result.pass_rate == 100.0) is expected_pass
 
 
-def leaf_paths(node, path=()):
-    """Paths to every scalar, empty list and empty object in a JSON document."""
-    if isinstance(node, dict) and node:
-        for key, value in node.items():
-            yield from leaf_paths(value, (*path, key))
-    elif isinstance(node, list) and node:
-        for i, value in enumerate(node):
-            yield from leaf_paths(value, (*path, i))
-    else:
-        yield path
+def node_paths(node, path=()):
+    """Paths to every node below the root of a JSON document, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in children:
+        yield (*path, key)
+        yield from node_paths(value, (*path, key))
 
 
 JSON_VALUES = st.one_of(
@@ -600,9 +596,9 @@ class TestBoundaryProperties:
     """Outside input ends as a typed value or a documented failure."""
 
     @staticmethod
-    def mutate_one_leaf(data, doc, values=JSON_VALUES):
-        """Replace one leaf of ``doc`` with a drawn value, or delete it."""
-        *parents, key = data.draw(st.sampled_from(list(leaf_paths(doc))))
+    def mutate_one_node(data, doc, values=JSON_VALUES):
+        """Replace one node of ``doc``, leaf or container, with a drawn value, or delete it."""
+        *parents, key = data.draw(st.sampled_from(list(node_paths(doc))))
         parent = doc
         for part in parents:
             parent = parent[part]
@@ -628,18 +624,18 @@ class TestBoundaryProperties:
         bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
         name = data.draw(st.sampled_from([harness.TASK_FILE, harness.SANDBOX_FILE]))
         doc = json.loads((bundle.root / name).read_text(encoding="utf-8"))
-        self.mutate_one_leaf(data, doc)
+        self.mutate_one_node(data, doc)
         self.load_mutant(tmp_path, bundle, name, json.dumps(doc))
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_script_line_leaf_mutation_loads_or_is_a_suite_error(self, tmp_path, data):
-        # Demo scripts are captures, so a line's leaves include its request's.
+        # Demo scripts are captures, so a line's nodes include its request and the request's fields.
         bundle = data.draw(st.sampled_from(DEMO_BUNDLES))
         lines = (bundle.root / harness.SCRIPT_FILE).read_text(encoding="utf-8").splitlines()
         i = data.draw(st.integers(0, len(lines) - 1))
         doc = json.loads(lines[i])
-        self.mutate_one_leaf(data, doc, data.draw(st.sampled_from([NON_INTEGERS, JSON_VALUES])))
+        self.mutate_one_node(data, doc, data.draw(st.sampled_from([NON_INTEGERS, JSON_VALUES])))
         lines[i] = json.dumps(doc)
         self.load_mutant(tmp_path, bundle, harness.SCRIPT_FILE, "\n".join(lines) + "\n")
 

@@ -19,8 +19,8 @@ from dualreflect.sandbox import (
     ExecutionResult,
     SandboxRegistry,
     SandboxTool,
-    load_registry,
     registry_from_dict,
+    registry_from_json,
 )
 
 
@@ -192,16 +192,12 @@ SUITE_DOC = {
 
 
 class TestLoadRegistry:
-    def test_two_tool_suite_loads(self, tmp_path):
-        path = tmp_path / "sandbox.json"
-        path.write_text(json.dumps(SUITE_DOC), encoding="utf-8")
-        registry = load_registry(path)
+    def test_two_tool_suite_loads(self):
+        registry = registry_from_json(json.dumps(SUITE_DOC))
         assert [t.name for t in registry.tool_specs()] == ["weather", "booker"]
 
-    def test_stateful_fail_then_succeed_honored(self, tmp_path):
-        path = tmp_path / "sandbox.json"
-        path.write_text(json.dumps(SUITE_DOC), encoding="utf-8")
-        session = load_registry(path).session()
+    def test_stateful_fail_then_succeed_honored(self):
+        session = registry_from_json(json.dumps(SUITE_DOC)).session()
         c = call(parameters={"city": "Paris", "date": "d"})
         assert session.execute(c).status is ExecutionStatus.SIMULATED_FAILURE
         assert session.execute(c).status is ExecutionStatus.OK
