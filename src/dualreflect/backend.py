@@ -215,7 +215,7 @@ def script_from_jsonl(text: str) -> list[ScriptStep]:
     the completion ``text``, its integer token counts and an optional
     ``request``; other keys are ignored. Errors name the line."""
     steps = []
-    for i, line in enumerate(text.splitlines()):
+    for i, line in enumerate(text.split("\n")):
         if not line.strip():
             continue
         try:

@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable
 from .backend import ChatBackend, ScriptedBackend, ScriptStep, script_from_jsonl
 from .model import PredicateKind, RunConfig, TaskSpec, Value, _set, as_dict, indented_json, task_from_json
 from .orchestrator import RunResult, RunStatus, run_task
+from .promptkit import OutputKind
 from .sandbox import SandboxRegistry, registry_from_json
 
 __all__ = [
@@ -39,7 +40,7 @@ TASK_FILE = "task.json"
 SANDBOX_FILE = "sandbox.json"
 SCRIPT_FILE = "script.jsonl"
 
-AGENTS = ("planner", "tool", "answer")
+AGENTS = tuple(kind.value for kind in OutputKind)
 
 
 class SuiteError(Exception):

@@ -395,13 +395,19 @@ def _check_predicate(task: TaskSpec) -> list[str]:
         if not isinstance(calls, tuple) or not calls:
             problems.append("success_check.payload: expected a non-empty list of expected calls")
             return problems
+        tools = {t.name: {p.name: p for p in t.parameters} for t in task.tools}
         for i, call in enumerate(calls):
+            where = f"success_check.payload[{i}]"
             if not isinstance(call, ExpectedCall) or not call.function:
-                problems.append(f"success_check.payload[{i}]: expected call must name a function")
-            elif task.tools and call.function not in {t.name for t in task.tools}:
-                problems.append(
-                    f"success_check.payload[{i}]: function {call.function!r} is not in the tool library"
-                )
+                problems.append(f"{where}: expected call must name a function")
+            elif task.tools and call.function not in tools:
+                problems.append(f"{where}: function {call.function!r} is not in the tool library")
+            elif task.tools and isinstance(call.parameters, dict):
+                for name, value in call.parameters.items():
+                    param = tools[call.function].get(name)
+                    problem = "references undeclared parameter" if param is None else _kind_problem(param, value)
+                    if problem:
+                        problems.append(f"{where}.parameters.{name}: {problem}")
     elif pred.kind is PredicateKind.ANSWER_CONTAINS:
         subs = pred.payload
         if not isinstance(subs, tuple) or not subs or not all(isinstance(s, str) and s for s in subs):
@@ -412,22 +418,45 @@ def _check_predicate(task: TaskSpec) -> list[str]:
     return problems
 
 
+#: Each parameter kind's JSON type; only a boolean parameter takes a bool.
+_KIND_TYPES = {ParamKind.STRING: str, ParamKind.NUMBER: (int, float), ParamKind.BOOLEAN: bool, ParamKind.ENUM: str}
+
+
+def _kind_problem(param: ParamSpec, value: Any) -> str | None:
+    kind = param.kind
+    if not isinstance(value, _KIND_TYPES[kind]) or isinstance(value, bool) and kind is not ParamKind.BOOLEAN:
+        return f"wrong type for parameter {param.name}: expected {kind.value}"
+    if param.values and kind is ParamKind.ENUM and value not in param.values:
+        return f"invalid value for parameter {param.name}: expected one of {', '.join(param.values)}"
+    return None
+
+
 # --- JSON parsing ------------------------------------------------------------
 #
 # One JSON document per task. Parsing is strict: a field of the wrong JSON
 # type is an error, not coerced.
 
 
+_SURROGATE_PROBLEM = "holds a lone surrogate, which is not UTF-8 text"
+
+
+def _encodes(text: str) -> bool:
+    """False for a string with a lone surrogate: JSON can carry one (a
+    ``\\ud800`` escape decodes to it), and no prompt or trace line can hold it."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _text(value: Any, what: str) -> str:
-    """``value`` if it is a string that encodes as UTF-8 (JSON can carry a lone
-    surrogate, which cannot be written or sent); else a :class:`ValueError`
-    naming ``what``."""
+    """``value`` if it is a string that encodes as UTF-8 (see :func:`_encodes`);
+    else a :class:`ValueError` naming ``what``."""
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {type(value).__name__}")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValueError(f"{what} holds a lone surrogate, which is not UTF-8 text") from None
+    if not _encodes(value):
+        raise ValueError(f"{what} {_SURROGATE_PROBLEM}")
     return value
 
 

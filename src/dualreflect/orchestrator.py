@@ -131,7 +131,6 @@ class TaskRun:
         """One plan -> execute -> answer cycle; its ``round_end`` event
         records the outcome (``accepted``, ``rejected``, or
         ``execution_failure``). Returns True when its answer passed."""
-        config = self.config
         self.trace.round += 1
         self.trace.emit("round_start")
 
@@ -139,15 +138,12 @@ class TaskRun:
         plan = plan_out.accepted
         trajectory: list[TrajectoryStep] = []
         related: list[tuple[str, str]] = []
-        failure: str | None = None
+        inter_reflection = None if plan.nodes else "planner produced an empty plan; nothing to execute"
 
-        if not plan.nodes:
-            failure = "planner produced an empty plan; nothing to execute"
         for node in plan.nodes:
-            cleared = self.stm.bind(node)
-            if cleared:
+            if cleared := self.stm.bind(node):
                 self.trace.emit("stm_reset", node=node.id, reason="rebind", cleared=cleared)
-            for attempt in range(1, config.subtask_retry_cap + 1):
+            for attempt in range(1, self.config.subtask_retry_cap + 1):
                 tool_out = self.runner.select_tool(node, related, self.stm)
                 call = tool_out.accepted
                 result = self.session.execute(call)
@@ -163,8 +159,7 @@ class TaskRun:
                     forced=not tool_out.passed,
                     divergence=call.function != node.function,
                 )
-                step = TrajectoryStep(node.id, call, result, attempt)
-                trajectory.append(step)
+                trajectory.append(TrajectoryStep(node.id, call, result, attempt))
                 if result.status is ExecutionStatus.OK:
                     related.append((node.id, result.payload))
                     cleared = self.stm.reset()
@@ -180,13 +175,13 @@ class TaskRun:
                     observation=observation,
                 )
             else:
-                failure = (
-                    f"subtask {node.id} failed after {config.subtask_retry_cap} attempts; "
+                inter_reflection = (
+                    f"subtask {node.id} failed after {self.config.subtask_retry_cap} attempts; "
                     f"last error: {observation}"
                 )
                 break
 
-        base_fields = {
+        fields = {
             "plan_score": plan.reflection.score,
             "plan_forced": not plan_out.passed,
             "plan_attempts": plan_out.attempts,
@@ -196,31 +191,24 @@ class TaskRun:
 
         # Rendered once: the answer prompt and long-term memory share it.
         trajectory_text = render_trajectory(plan, trajectory)
-        if failure is not None:
-            self._store_round(trajectory_text, failure)
-            self.trace.emit("round_end", outcome="execution_failure", **base_fields)
-            return False
-
-        answer_out = self.runner.answer(trajectory_text)
-        answer = answer_out.accepted
-        if self._best is None or answer.reflection.score > self._best[0].reflection.score:
-            self._best = (answer, self.trace.round)
-        if answer_out.passed:
-            self.trace.emit(
-                "round_end", outcome="accepted", answer_score=answer.reflection.score, **base_fields
-            )
-            return True
-        self._store_round(
-            trajectory_text,
-            f"Answer (score {answer.reflection.score}/10): {answer.text}\n"
-            f"Evaluation: {answer.reflection.evaluation}",
-        )
-        self.trace.emit("round_end", outcome="rejected", answer_score=answer.reflection.score, **base_fields)
-        return False
-
-    def _store_round(self, trajectory: str, inter_reflection: str) -> None:
-        self.ltm.record(trajectory, inter_reflection)
-        self.trace.emit("ltm_append", round_index=self.trace.round, records=len(self.ltm.entries))
+        outcome = "execution_failure"
+        if inter_reflection is None:
+            answer_out = self.runner.answer(trajectory_text)
+            answer = answer_out.accepted
+            fields["answer_score"] = answer.reflection.score
+            if self._best is None or answer.reflection.score > self._best[0].reflection.score:
+                self._best = (answer, self.trace.round)
+            outcome = "accepted" if answer_out.passed else "rejected"
+            if not answer_out.passed:
+                inter_reflection = (
+                    f"Answer (score {answer.reflection.score}/10): {answer.text}\n"
+                    f"Evaluation: {answer.reflection.evaluation}"
+                )
+        if outcome != "accepted":
+            self.ltm.record(trajectory_text, inter_reflection)
+            self.trace.emit("ltm_append", round_index=self.trace.round, records=len(self.ltm.entries))
+        self.trace.emit("round_end", outcome=outcome, **fields)
+        return outcome == "accepted"
 
     def _finish(self, status: RunStatus, error: str | None = None) -> RunResult:
         cleared = self.stm.reset()

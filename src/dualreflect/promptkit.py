@@ -27,7 +27,9 @@ from .model import (
     ToolSpec,
     TrajectoryStep,
     Value,
+    _SURROGATE_PROBLEM,
     _canonical_json,
+    _encodes,
     _set,
     clamp_score,
 )
@@ -208,19 +210,6 @@ class OutputKind(str, Enum):
     PLANNER = "planner"
     TOOL = "tool"
     ANSWER = "answer"
-
-
-_SURROGATE_PROBLEM = "holds a lone surrogate, which is not UTF-8 text"
-
-
-def _encodes(text: str) -> bool:
-    """False for a string with a lone surrogate: ``extract_json`` decodes a
-    ``\\ud800`` escape to one, and no prompt or trace line can hold it."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _text_problem(value: Any) -> str | None:

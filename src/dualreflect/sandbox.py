@@ -18,11 +18,10 @@ from typing import Any, Mapping
 from .model import (
     ExecutionResult,
     ExecutionStatus,
-    ParamKind,
-    ParamSpec,
     ToolCall,
     ToolSpec,
     Value,
+    _kind_problem,
     _set,
     _text,
     tool_from_dict,
@@ -131,19 +130,6 @@ def _check_parameters(tool: SandboxTool, parameters: Mapping[str, Any]) -> list[
     return missing + [f"unknown parameter: {name}" for name in parameters if name not in tool._names] + wrong
 
 
-#: Each parameter kind's JSON type; only a boolean parameter takes a bool.
-_KIND_TYPES = {ParamKind.STRING: str, ParamKind.NUMBER: (int, float), ParamKind.BOOLEAN: bool, ParamKind.ENUM: str}
-
-
-def _kind_problem(param: ParamSpec, value: Any) -> str | None:
-    kind = param.kind
-    if not isinstance(value, _KIND_TYPES[kind]) or isinstance(value, bool) and kind is not ParamKind.BOOLEAN:
-        return f"wrong type for parameter {param.name}: expected {kind.value}"
-    if param.values and kind is ParamKind.ENUM and value not in param.values:
-        return f"invalid value for parameter {param.name}: expected one of {', '.join(param.values)}"
-    return None
-
-
 # --- Suite file loading -------------------------------------------------------
 
 
@@ -172,7 +158,7 @@ def registry_from_dict(data: Any) -> SandboxRegistry:
             spec = tool_from_dict(raw["spec"])
         except ValueError as exc:
             raise ValueError(f"{path}.spec: {exc}") from None
-        declared = {p.name for p in spec.parameters}
+        declared = {p.name: p for p in spec.parameters}
         if not isinstance(raw.get("rules", []), list):
             raise ValueError(f"{path}.rules: expected an array")
         rules = []
@@ -187,9 +173,11 @@ def registry_from_dict(data: Any) -> SandboxRegistry:
             if params is not None:
                 if not isinstance(params, dict):
                     raise ValueError(f"{rpath}.when.params: expected an object")
-                for name in params:
+                for name, value in params.items():
                     if name not in declared:
                         raise ValueError(f"{rpath}.when.params.{name}: references undeclared parameter")
+                    if problem := _kind_problem(declared[name], value):
+                        raise ValueError(f"{rpath}.when.params.{name}: {problem}")
             call_index = when.get("call_index")
             if call_index is not None and (isinstance(call_index, bool) or not isinstance(call_index, int) or call_index < 1):
                 raise ValueError(f"{rpath}.when.call_index: expected an integer >= 1")

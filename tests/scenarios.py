@@ -539,8 +539,31 @@ BROKEN_BUNDLES = {
             ("answer-contains-not-array", "answer_contains", "x", "answer_contains payload must be an array"),
             ("answer-contains-empty-substring", "answer_contains", [""], "expected a non-empty list of non-empty"),
             ("all-nodes-succeeded-payload", "all_nodes_succeeded", [1], "payload: must be empty for this predicate"),
+            (
+                "expected-call-undeclared-parameter",
+                "expected_calls",
+                [{"function": "alpha", "parameters": {"n": 1}}],
+                "success_check.payload[0].parameters.n: references undeclared parameter",
+            ),
         ]
     },
+    # Python's True == 1, so a true that loaded for a number would match a call's 1.
+    "task-expected-call-true-for-number": (
+        "task.json",
+        _edit_json(lambda d: (
+            d["tools"][0]["parameters"].append({"name": "n", "kind": "number"}),
+            d.update(success_check={"kind": "expected_calls", "payload": [{"function": "alpha", "parameters": {"n": True}}]}),
+        )),
+        "success_check.payload[0].parameters.n: wrong type for parameter n: expected number",
+    ),
+    "sandbox-rule-true-for-number": (
+        "sandbox.json",
+        _edit_json(lambda d: (
+            d["tools"][0]["spec"]["parameters"].append({"name": "n", "kind": "number"}),
+            d["tools"][0].update(rules=[{"when": {"params": {"n": True}}, "result": {"status": "ok", "payload": "x"}}]),
+        )),
+        "tools[0].rules[0].when.params.n: wrong type for parameter n: expected number",
+    ),
     "sandbox-not-object": ("sandbox.json", lambda text: "[]", "suite file must be an object with a 'tools' array"),
     "sandbox-tool-without-default": (
         "sandbox.json",

@@ -14,7 +14,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dualreflect.backend import (
@@ -538,6 +538,23 @@ class TestRecordReplay:
         for req, _ in self.three_calls():
             replay.complete(req)
         assert replay.token_totals() == TokenTotals(33, 18, 3)
+
+
+# Any character but a lone surrogate, which no capture line can hold.
+_UTF8_CHARS = st.characters(blacklist_categories=("Cs",))
+
+
+class TestCaptureProperty:
+    # str.splitlines() also breaks a line at these; a capture writes them raw.
+    @example(text="a\u2028b", system="s\u2028", user="\u2028u")
+    @example(text="a\u2029b", system="s\u2029", user="\u2029u")
+    @example(text="a\x85b", system="s\x85", user="\x85u")
+    @given(text=st.text(_UTF8_CHARS), system=st.text(_UTF8_CHARS, min_size=1), user=st.text(_UTF8_CHARS, min_size=1))
+    def test_recorded_exchange_parses_back_to_an_equal_step(self, tmp_path_factory, text, system, user):
+        path = tmp_path_factory.getbasetemp() / "capture-property.jsonl"
+        request, response = ChatRequest(system=system, user=user), ChatResponse(text, 3, 2)
+        RecordingBackend(ScriptedBackend([ScriptStep(response)]), path).complete(request)
+        assert script_from_jsonl(path.read_text(encoding="utf-8")) == [ScriptStep(response, request)]
 
 
 class TestTotalsProperty:
